@@ -388,6 +388,13 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftbandits",
@@ -401,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config key (dotted path)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--workers", type=_worker_count, default=1,
+                       help="parallel workers (at most the CPU count are started)")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
 
     p_run = sub.add_parser("run", help="run one experiment")
@@ -429,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override preset config keys (e.g. reps=10)")
     p_rep.add_argument("--out", default="out")
-    p_rep.add_argument("--workers", type=int, default=1)
+    p_rep.add_argument("--workers", type=_worker_count, default=1)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.set_defaults(func=cmd_reproduce)
     return parser

@@ -297,14 +297,19 @@ def variation_of(env) -> float:
     """Total variation ``sum_t max_a |mu_t(a) - mu_{t+1}(a)|`` of a schedule.
 
     Uses exact summation so piecewise-constant schedules report their
-    variation with no accumulation error.
+    variation with no accumulation error.  Cached on the schedule, which is
+    immutable.
     """
     sched = _schedule_of(env)
-    m = sched.means
-    if sched.T == 1:
-        return 0.0
-    step_sup = np.abs(np.diff(m, axis=0)).max(axis=1)
-    return math.fsum(step_sup.tolist())
+    v = sched._cache.get("variation")
+    if v is None:
+        if sched.T == 1:
+            v = 0.0
+        else:
+            step_sup = np.abs(np.diff(sched.means, axis=0)).max(axis=1)
+            v = math.fsum(step_sup.tolist())
+        sched._cache["variation"] = v
+    return v
 
 
 def schedule_to_csv(env, path) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,6 +56,7 @@ __all__ = [
     "tuned_tau",
     "build_env",
     "run_replication",
+    "pool_plan",
     "run_experiment",
     "write_summary_json",
     "write_trace_csv",
@@ -132,6 +134,8 @@ def _get(d: dict, path: str, key: str, kind, required: bool, default=None):
     if kind is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(where, f"expected a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ConfigError(where, f"expected a finite number, got {v!r}")
         return float(v)
     if kind is int:
         if isinstance(v, bool) or not isinstance(v, int):
@@ -628,6 +632,23 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(n))
 
 
+def pool_plan(
+    reps: int, workers: int, cpus: int, collect_curves: bool
+) -> tuple[int, list]:
+    """Pool size and the rep-index chunks it runs, in submission order.
+
+    ``workers`` is clamped to ``cpus`` before sizing the chunks, and the pool
+    to the number of chunks, so a large request starts no more processes
+    than can run at once.  A pool size of 1 means: run in-process.
+    """
+    workers = min(workers, cpus)
+    chunk = max(1, math.ceil(reps / (workers * 4)))
+    if collect_curves:
+        chunk = min(chunk, 64)
+    ranges = [list(range(i, min(i + chunk, reps))) for i in range(0, reps, chunk)]
+    return max(1, min(workers, len(ranges))), ranges
+
+
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -641,8 +662,11 @@ def run_experiment(
     ``workers`` value.  When ``config.trace`` is on and ``trace_path`` is
     given, replications run serially and stream rows to the trace CSV.
     """
+    if workers < 1:
+        raise ConfigError("workers", f"must be >= 1, got {workers}")
     resolved = config.resolve()  # validate before spawning anything
     reps = config.reps
+    pool, ranges = pool_plan(reps, workers, os.cpu_count() or 1, collect_curves)
     values = {name: np.empty(reps) for name in METRIC_NAMES}
     curve_sum = curve_sumsq = None
 
@@ -669,7 +693,7 @@ def run_experiment(
                 if collect_curves:
                     fold_curves(res.curves)
                 _write_trace_rows(writer, envobj, rep, res.trace)
-    elif workers <= 1:
+    elif pool == 1:
         for rep in range(reps):
             res = run_replication(config, rep, collect_curves=collect_curves)
             for name in METRIC_NAMES:
@@ -678,11 +702,7 @@ def run_experiment(
                 fold_curves(res.curves)
     else:
         cfg_dict = config.to_dict()
-        chunk = max(1, math.ceil(reps / (workers * 4)))
-        if collect_curves:
-            chunk = min(chunk, 64)
-        ranges = [list(range(i, min(i + chunk, reps))) for i in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=pool) as ex:
             futures = [
                 ex.submit(_run_chunk, cfg_dict, r, collect_curves) for r in ranges
             ]

@@ -9,18 +9,28 @@ their feedback: the observed reward is ``r_t = X_t(a_t) + f(chi_t)`` where
 policy is updated with the biased ``r_t`` — neither party can separate the
 true reward from the drift.
 
-``run_segment`` is the single implementation of this loop; it serves the
+``run_segment`` is the single entry point to this loop; it serves the
 one-step API, full runs, and the restarting scheduler, and it accumulates
 regret/compensation totals without allocating per-step records unless a
-trace sink is supplied.
+trace sink is supplied.  It runs the built-in policies through fused
+per-policy kernels, which inline the policy and drift methods and give
+bit-identical results to the reference loop over those methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, log, sqrt
 from random import Random
 
-from .policy import Policy
+from .policy import (
+    DucbPolicy,
+    EpsGreedyPolicy,
+    Policy,
+    SwucbPolicy,
+    ThompsonPolicy,
+    Ucb1Policy,
+)
 
 __all__ = [
     "DriftModel",
@@ -49,15 +59,15 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in ("linear", "saturating"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.l != self.l or self.l < 0.0:
+        if not 0.0 <= self.l < inf:
             raise ValueError("Lipschitz constant l must be finite and >= 0")
         if self.kind == "saturating":
-            if self.cap is None or self.cap <= 0.0:
-                raise ValueError("saturating drift requires cap > 0")
+            if self.cap is None or not 0.0 < self.cap < inf:
+                raise ValueError("saturating drift requires a finite cap > 0")
 
     def apply(self, chi: float) -> float:
         if chi != chi or chi < 0.0:
-            raise ValueError(f"compensation must be >= 0, got {chi}")
+            raise _bad_compensation(chi)
         if self.kind == "linear":
             return self.l * chi
         return self.l * (chi if chi < self.cap else self.cap)
@@ -124,13 +134,47 @@ def run_segment(
     compensation is paid and no drift occurs.  Each step consumes the
     policy's recommendation draws (if any), exactly one uniform for the
     Bernoulli reward, then any update draws, in that order.
+
+    The built-in policy classes (matched on their exact type, so a subclass
+    that overrides a method runs its own code) step through a fused kernel
+    unless a ``trace`` is requested; every other policy, a ``DriftModel``
+    subclass, and traced runs go through :func:`_reference_segment`.  Both
+    paths make the same draws and the same float operations in the same
+    order, so their results are bit-identical.
     """
     sched = env.schedule
     if not (1 <= t_start and t_end <= sched.T):
         raise ValueError(f"steps [{t_start}, {t_end}] outside horizon [1, {sched.T}]")
     if totals is None:
         totals = RunTotals()
+    kernel = _KERNELS.get(type(policy))
+    if trace is not None or kernel is None or type(model) is not DriftModel:
+        _reference_segment(
+            policy, sched, t_start, t_end, model, rng, totals, trace, curves, batch
+        )
+        return totals
+    # Linear drift is the saturating form with an infinite cap: for every
+    # chi that passes the check, ``chi if chi < inf else inf`` is ``chi``.
+    cap = model.cap if model.kind == "saturating" else inf
+    acc = (totals.pseudo_regret, totals.realized_regret, totals.compensation,
+           totals.true_reward)
+    acc = kernel(
+        policy, sched.rows, sched.best_mean, t_start, t_end, model.l, cap, rng,
+        acc, curves,
+    )
+    (totals.pseudo_regret, totals.realized_regret, totals.compensation,
+     totals.true_reward) = acc
+    return totals
 
+
+def _reference_segment(
+    policy, sched, t_start, t_end, model, rng, totals, trace, curves, batch
+) -> None:
+    """The step loop through the public policy and drift methods.
+
+    This is the reference the fused kernels are tested against, the path
+    for trace requests, and the path for user-defined policies.
+    """
     rows = sched.rows
     best = sched.best_mean
     K = policy.K
@@ -181,7 +225,378 @@ def run_segment(
     totals.realized_regret = realized
     totals.compensation = comp_sum
     totals.true_reward = reward_sum
-    return totals
+
+
+# ---------------------------------------------------------------------------
+# Fused step kernels.
+#
+# Each kernel runs ``_reference_segment``'s loop for one policy class with the
+# policy's ``recommend``/``greedy_arm``/``estimate``/``observe`` and
+# ``DriftModel.apply`` inlined: the statistics live in local variables (the
+# per-arm lists are the policy's own, updated in place; scalars are written
+# back on exit, also when a check raises), and one pass over the arms finds
+# both the index argmax (ties to the lowest arm, starting from -inf) and the
+# greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
+# Any edit here must keep the draw order and every float expression of the
+# reference; tests/test_kernels.py checks bit-identity.
+#
+# Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves),
+# where ``acc`` is (pseudo, realized, compensation, true_reward); returns the
+# updated ``acc``.
+
+
+def _bad_compensation(chi: float) -> ValueError:
+    return ValueError(f"compensation must be >= 0, got {chi}")
+
+
+def _bad_reward(r: float) -> ValueError:
+    return ValueError(f"reward must be finite and nonnegative, got {r}")
+
+
+def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+    K = pol.K
+    count, total = pol.count, pol.total
+    n_obs = pol.t
+    uniform = rng.random
+    arms = range(K)
+    pseudo, realized, comp_sum, reward_sum = acc
+    if curves is not None:
+        app_p = curves.cum_pseudo.append
+        app_r = curves.cum_realized.append
+        app_c = curves.cum_comp.append
+        app_w = curves.cum_reward.append
+    try:
+        for t in range(t_start, t_end + 1):
+            if n_obs < K:
+                a = n_obs + 1
+                chi = delta = 0.0
+            else:
+                two_log_t = 2.0 * log(n_obs)
+                n = count[0]
+                g, ge = 1, (total[0] / n if n > 0.0 else 0.0)
+                a, av, ae = 1, -inf, ge
+                for i in arms:
+                    n = count[i]
+                    if n > 0.0:
+                        e = total[i] / n
+                        v = e + sqrt(two_log_t / n)
+                    else:
+                        e, v = 0.0, inf
+                    if v > av:
+                        a, av, ae = i + 1, v, e
+                    if e > ge:
+                        g, ge = i + 1, e
+                if a != g:
+                    chi = ge - ae
+                    if chi != chi or chi < 0.0:
+                        raise _bad_compensation(chi)
+                    delta = l * (chi if chi < cap else cap)
+                else:
+                    chi = delta = 0.0
+            mu_a = rows[t - 1][a - 1]
+            x = 1.0 if uniform() < mu_a else 0.0
+            r = x + delta
+            if not 0.0 <= r < inf:
+                raise _bad_reward(r)
+            count[a - 1] += 1.0
+            total[a - 1] += r
+            n_obs += 1
+
+            mu_star = best[t - 1]
+            pseudo += mu_star - mu_a
+            realized += mu_star - x
+            comp_sum += chi
+            reward_sum += x
+            if curves is not None:
+                app_p(pseudo)
+                app_r(realized)
+                app_c(comp_sum)
+                app_w(reward_sum)
+    finally:
+        pol.t = n_obs
+    return pseudo, realized, comp_sum, reward_sum
+
+
+def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+    K = pol.K
+    gamma, xi = pol.gamma, pol.xi
+    dc, ds, raw = pol.disc_count, pol.disc_sum, pol.raw_count
+    n_disc = pol.disc_total
+    n_obs = pol.t
+    uniform = rng.random
+    arms = range(K)
+    pseudo, realized, comp_sum, reward_sum = acc
+    if curves is not None:
+        app_p = curves.cum_pseudo.append
+        app_r = curves.cum_realized.append
+        app_c = curves.cum_comp.append
+        app_w = curves.cum_reward.append
+    try:
+        for t in range(t_start, t_end + 1):
+            if n_obs < K:
+                a = n_obs + 1
+                chi = delta = 0.0
+            else:
+                xi_log_n = xi * log(n_disc)
+                n = dc[0]
+                g, ge = 1, (ds[0] / n if n > 0.0 else 0.0)
+                a, av, ae = 1, -inf, ge
+                for i in arms:
+                    n = dc[i]
+                    if n > 0.0:
+                        e = ds[i] / n
+                        v = e + 2.0 * sqrt(xi_log_n / n)
+                    else:
+                        e, v = 0.0, inf
+                    if v > av:
+                        a, av, ae = i + 1, v, e
+                    if e > ge:
+                        g, ge = i + 1, e
+                if a != g:
+                    chi = ge - ae
+                    if chi != chi or chi < 0.0:
+                        raise _bad_compensation(chi)
+                    delta = l * (chi if chi < cap else cap)
+                else:
+                    chi = delta = 0.0
+            mu_a = rows[t - 1][a - 1]
+            x = 1.0 if uniform() < mu_a else 0.0
+            r = x + delta
+            if not 0.0 <= r < inf:
+                raise _bad_reward(r)
+            for i in arms:
+                dc[i] *= gamma
+                ds[i] *= gamma
+            i = a - 1
+            dc[i] += 1.0
+            ds[i] += r
+            raw[i] += 1
+            n_disc = gamma * n_disc + 1.0
+            n_obs += 1
+
+            mu_star = best[t - 1]
+            pseudo += mu_star - mu_a
+            realized += mu_star - x
+            comp_sum += chi
+            reward_sum += x
+            if curves is not None:
+                app_p(pseudo)
+                app_r(realized)
+                app_c(comp_sum)
+                app_w(reward_sum)
+    finally:
+        pol.t = n_obs
+        pol.disc_total = n_disc
+    return pseudo, realized, comp_sum, reward_sum
+
+
+def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+    K = pol.K
+    tau, xi = pol.tau, pol.xi
+    window = pol.window
+    push, pop = window.append, window.popleft
+    wc, ws, raw = pol.win_count, pol.win_sum, pol.raw_count
+    n_obs = pol.t
+    uniform = rng.random
+    arms = range(K)
+    pseudo, realized, comp_sum, reward_sum = acc
+    if curves is not None:
+        app_p = curves.cum_pseudo.append
+        app_r = curves.cum_realized.append
+        app_c = curves.cum_comp.append
+        app_w = curves.cum_reward.append
+    try:
+        for t in range(t_start, t_end + 1):
+            if n_obs < K:
+                a = n_obs + 1
+                chi = delta = 0.0
+            else:
+                xi_log_w = xi * log(n_obs if n_obs < tau else tau)
+                n = wc[0]
+                g, ge = 1, (ws[0] / n if n > 0 else 0.0)
+                a, av, ae = 1, -inf, ge
+                for i in arms:
+                    n = wc[i]
+                    if n > 0:
+                        e = ws[i] / n
+                        v = e + sqrt(xi_log_w / n)
+                    else:
+                        e, v = 0.0, inf
+                    if v > av:
+                        a, av, ae = i + 1, v, e
+                    if e > ge:
+                        g, ge = i + 1, e
+                if a != g:
+                    chi = ge - ae
+                    if chi != chi or chi < 0.0:
+                        raise _bad_compensation(chi)
+                    delta = l * (chi if chi < cap else cap)
+                else:
+                    chi = delta = 0.0
+            mu_a = rows[t - 1][a - 1]
+            x = 1.0 if uniform() < mu_a else 0.0
+            r = x + delta
+            if not 0.0 <= r < inf:
+                raise _bad_reward(r)
+            if len(window) == tau:
+                old_i, old_r = pop()
+                wc[old_i] -= 1
+                ws[old_i] -= old_r
+            i = a - 1
+            push((i, r))
+            wc[i] += 1
+            ws[i] += r
+            raw[i] += 1
+            n_obs += 1
+
+            mu_star = best[t - 1]
+            pseudo += mu_star - mu_a
+            realized += mu_star - x
+            comp_sum += chi
+            reward_sum += x
+            if curves is not None:
+                app_p(pseudo)
+                app_r(realized)
+                app_c(comp_sum)
+                app_w(reward_sum)
+    finally:
+        pol.t = n_obs
+    return pseudo, realized, comp_sum, reward_sum
+
+
+def _eps_greedy_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+    K = pol.K
+    eps_c = pol.eps_c
+    count, total = pol.count, pol.total
+    n_obs = pol.t
+    uniform = rng.random
+    randrange = rng.randrange
+    arms = range(1, K)
+    pseudo, realized, comp_sum, reward_sum = acc
+    if curves is not None:
+        app_p = curves.cum_pseudo.append
+        app_r = curves.cum_realized.append
+        app_c = curves.cum_comp.append
+        app_w = curves.cum_reward.append
+    try:
+        for t in range(t_start, t_end + 1):
+            if n_obs < K:
+                a = n_obs + 1
+                chi = delta = 0.0
+            else:
+                eps = eps_c * K / n_obs
+                n = count[0]
+                g, ge = 1, (total[0] / n if n > 0.0 else 0.0)
+                for i in arms:
+                    n = count[i]
+                    e = total[i] / n if n > 0.0 else 0.0
+                    if e > ge:
+                        g, ge = i + 1, e
+                if eps >= 1.0 or uniform() < eps:
+                    a = randrange(K) + 1
+                else:
+                    a = g
+                if a != g:
+                    n = count[a - 1]
+                    chi = ge - (total[a - 1] / n if n > 0.0 else 0.0)
+                    if chi != chi or chi < 0.0:
+                        raise _bad_compensation(chi)
+                    delta = l * (chi if chi < cap else cap)
+                else:
+                    chi = delta = 0.0
+            mu_a = rows[t - 1][a - 1]
+            x = 1.0 if uniform() < mu_a else 0.0
+            r = x + delta
+            if not 0.0 <= r < inf:
+                raise _bad_reward(r)
+            count[a - 1] += 1.0
+            total[a - 1] += r
+            n_obs += 1
+
+            mu_star = best[t - 1]
+            pseudo += mu_star - mu_a
+            realized += mu_star - x
+            comp_sum += chi
+            reward_sum += x
+            if curves is not None:
+                app_p(pseudo)
+                app_r(realized)
+                app_c(comp_sum)
+                app_w(reward_sum)
+    finally:
+        pol.t = n_obs
+    return pseudo, realized, comp_sum, reward_sum
+
+
+def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+    K = pol.K
+    alpha, beta = pol.alpha, pol.beta
+    n_obs = pol.t
+    uniform = rng.random
+    betavariate = rng.betavariate
+    arms = range(K)
+    pseudo, realized, comp_sum, reward_sum = acc
+    if curves is not None:
+        app_p = curves.cum_pseudo.append
+        app_r = curves.cum_realized.append
+        app_c = curves.cum_comp.append
+        app_w = curves.cum_reward.append
+    try:
+        for t in range(t_start, t_end + 1):
+            if n_obs < K:
+                a = n_obs + 1
+                chi = delta = 0.0
+            else:
+                g, ge = 1, alpha[0] / (alpha[0] + beta[0])
+                a, av, ae = 1, -inf, ge
+                for i in arms:
+                    ai, bi = alpha[i], beta[i]
+                    v = betavariate(ai, bi)
+                    e = ai / (ai + bi)
+                    if v > av:
+                        a, av, ae = i + 1, v, e
+                    if e > ge:
+                        g, ge = i + 1, e
+                if a != g:
+                    chi = ge - ae
+                    if chi != chi or chi < 0.0:
+                        raise _bad_compensation(chi)
+                    delta = l * (chi if chi < cap else cap)
+                else:
+                    chi = delta = 0.0
+            mu_a = rows[t - 1][a - 1]
+            x = 1.0 if uniform() < mu_a else 0.0
+            r = x + delta
+            if not 0.0 <= r < inf:
+                raise _bad_reward(r)
+            if uniform() < (r if r < 1.0 else 1.0):
+                alpha[a - 1] += 1.0
+            else:
+                beta[a - 1] += 1.0
+            n_obs += 1
+
+            mu_star = best[t - 1]
+            pseudo += mu_star - mu_a
+            realized += mu_star - x
+            comp_sum += chi
+            reward_sum += x
+            if curves is not None:
+                app_p(pseudo)
+                app_r(realized)
+                app_c(comp_sum)
+                app_w(reward_sum)
+    finally:
+        pol.t = n_obs
+    return pseudo, realized, comp_sum, reward_sum
+
+
+_KERNELS = {
+    Ucb1Policy: _ucb1_segment,
+    DucbPolicy: _ducb_segment,
+    SwucbPolicy: _swucb_segment,
+    EpsGreedyPolicy: _eps_greedy_segment,
+    ThompsonPolicy: _thompson_segment,
+}
 
 
 def incentive_step(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from math import inf, log, sqrt
+from math import inf, isfinite, log, sqrt
 from random import Random
 
 __all__ = [
@@ -62,6 +62,10 @@ class PolicyParams:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for name in ("xi", "gamma", "eps_c", "prior_a", "prior_b"):
+            v = getattr(self, name)
+            if v is not None and not isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.xi < 0.5:
             raise ValueError("xi must be at least 1/2")
         if self.gamma is not None and not (0.0 < self.gamma <= 1.0):
@@ -115,7 +119,7 @@ class Policy:
     def _check(self, arm: int, reward: float) -> None:
         if not 1 <= arm <= self.K:
             raise ValueError(f"arm {arm} outside [1, {self.K}]")
-        if reward != reward or reward < 0.0:
+        if not 0.0 <= reward < inf:
             raise ValueError(f"reward must be finite and nonnegative, got {reward}")
 
     def _per_arm(self) -> list:

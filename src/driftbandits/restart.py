@@ -36,8 +36,8 @@ class RestartParams:
     def __post_init__(self):
         if int(self.sigma) != self.sigma or self.sigma < 1:
             raise ValueError("sigma must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
 
 def batch_size_exact(T: int, V_T: float, K: int, lam: float = 1.0) -> float:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import driftbandits
 from driftbandits.cli import main
 
 
@@ -76,6 +81,32 @@ def test_unknown_override_key_exits_2(tiny_config, tmp_path, capsys):
                  "--set", "policy.window=9"])
     assert code == 2
     assert "policy.window" in capsys.readouterr().err
+
+
+def test_infinite_prior_exits_2_and_names_key(tmp_path):
+    # json reads Infinity; an infinite Beta prior once made betavariate spin
+    path = tmp_path / "config.json"
+    path.write_text('{"env": {"kind": "flip", "T": 150}, "reps": 1, '
+                    '"policy": {"kind": "thompson", "prior_a": Infinity}}')
+    src = str(Path(driftbandits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftbandits.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "policy.prior_a" in proc.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tiny_config, tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):

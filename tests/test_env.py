@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -172,6 +173,13 @@ class TestVariation:
         means = np.full((10, 2), 0.4)
         means[5:, 0] = 0.9
         assert variation_of(MeanSchedule(means)) == 0.5
+
+    def test_cached_value_is_the_exact_sum(self):
+        env = make_sinusoidal_env(2000, 3.0, 0.25, 1.0)
+        step_sup = np.abs(np.diff(env.schedule.means, axis=0)).max(axis=1)
+        exact = math.fsum(step_sup.tolist())
+        assert env.schedule._cache["variation"] == exact
+        assert variation_of(env) == exact
 
     def test_budget_invariant_holds_for_generated(self):
         for budget in (1.5, 3.0, 6.0):

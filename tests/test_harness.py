@@ -17,6 +17,7 @@ from driftbandits.harness import (
     build_env,
     fit_loglog,
     gap_diagnostic,
+    pool_plan,
     run_experiment,
     run_replication,
     scaling_probe,
@@ -103,6 +104,29 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(d)
         assert "env.T" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "section, fields",
+        [
+            ("policy", {"kind": "ducb", "gamma_c": 15.0, "xi": math.nan}),
+            ("policy", {"kind": "ducb", "gamma_c": math.inf}),
+            ("policy", {"kind": "eps_greedy", "eps_c": math.nan}),
+            ("policy", {"kind": "thompson", "prior_a": math.inf}),
+            ("drift", {"kind": "linear", "l": math.inf}),
+            ("drift", {"kind": "saturating", "l": 0.4, "cap": math.nan}),
+            ("drift", {"kind": "saturating", "l": 0.4, "cap": math.inf}),
+            ("env", {"kind": "flip", "T": 300, "hi": math.nan}),
+            ("restart", {"lam": math.inf}),
+        ],
+    )
+    def test_non_finite_numbers_named(self, section, fields):
+        d = small_config().to_dict()
+        d[section] = fields
+        bad = next(k for k, v in fields.items()
+                   if isinstance(v, float) and not math.isfinite(v))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(d)
+        assert err.value.key == f"{section}.{bad}"
 
     def test_policy_requires_tuning_or_explicit(self):
         d = small_config().to_dict()
@@ -277,6 +301,26 @@ class TestExperiment:
             cum_c = [float(r[11]) for r in rep_rows]
             assert all(b >= a for a, b in zip(cum_p, cum_p[1:]))
             assert all(b >= a for a, b in zip(cum_c, cum_c[1:]))
+
+
+class TestPoolPlan:
+    def test_large_request_clamped_to_cpus(self):
+        pool, ranges = pool_plan(100, 10**9, 2, False)
+        assert pool == 2
+        assert ranges == pool_plan(100, 2, 2, False)[1]
+        assert [rep for chunk in ranges for rep in chunk] == list(range(100))
+
+    def test_pool_never_exceeds_chunks(self):
+        assert pool_plan(3, 8, 16, False)[0] == 3
+        assert pool_plan(1, 8, 16, False)[0] == 1
+
+    def test_one_cpu_runs_in_process(self):
+        assert pool_plan(50, 4, 1, True)[0] == 1
+
+    def test_run_experiment_rejects_fewer_than_one_worker(self):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(small_config(), workers=0)
+        assert err.value.key == "workers"
 
 
 class TestSweep:

@@ -41,6 +41,10 @@ class TestDriftApply:
             DriftModel("saturating", 1.0, cap=None)
         with pytest.raises(ValueError):
             DriftModel("quadratic", 1.0)
+        for l, cap in ((math.inf, None), (math.nan, None), (1.0, math.inf),
+                       (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                DriftModel("saturating" if cap is not None else "linear", l, cap)
 
     @pytest.mark.parametrize(
         "model",

@@ -66,7 +66,9 @@ class TestParamValidation:
     @pytest.mark.parametrize(
         "kw",
         [{"gamma": 0.0}, {"gamma": 1.5}, {"tau": 0}, {"tau": 2.5},
-         {"eps_c": 0.0}, {"prior_a": 0.0}, {"prior_b": -1.0}],
+         {"eps_c": 0.0}, {"prior_a": 0.0}, {"prior_b": -1.0},
+         {"xi": math.nan}, {"xi": math.inf}, {"eps_c": math.nan},
+         {"prior_a": math.inf}, {"prior_b": math.inf}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -294,6 +296,8 @@ class TestObserveValidation:
         rng = random.Random(0)
         with pytest.raises(ValueError):
             pol.observe(1, float("nan"), rng)
+        with pytest.raises(ValueError):
+            pol.observe(1, math.inf, rng)
         with pytest.raises(ValueError):
             pol.observe(1, -0.5, rng)
         with pytest.raises(ValueError):
