@@ -22,11 +22,8 @@ from .env import (
 )
 from .harness import (
     ConfigError,
-    DriftSpec,
     EnvSpec,
     ExperimentConfig,
-    PolicySpec,
-    RestartSpec,
     gap_diagnostic,
     run_experiment,
     run_replication,
@@ -38,7 +35,6 @@ from .harness import (
 from .incentive import (
     DriftModel,
     StepOutcome,
-    drift_apply,
     incentive_step,
     run_incentivized,
 )
@@ -52,18 +48,14 @@ __all__ = [
     "ConfigError",
     "DriftingEnvironment",
     "DriftModel",
-    "DriftSpec",
     "EnvSpec",
     "ExperimentConfig",
     "MeanSchedule",
     "PolicyParams",
-    "PolicySpec",
     "RestartParams",
-    "RestartSpec",
     "RewardSample",
     "StepOutcome",
     "batch_size",
-    "drift_apply",
     "gap_diagnostic",
     "incentive_step",
     "make_flip_env",

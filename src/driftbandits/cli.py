@@ -24,16 +24,16 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    DriftSpec,
     EnvSpec,
     ExperimentConfig,
-    PolicySpec,
-    RestartSpec,
     run_experiment,
     scaling_probe,
     sweep,
     write_summary_json,
 )
+from .incentive import DriftModel
+from .policy import POLICY_KINDS, PolicyParams
+from .restart import RestartParams
 from .svgplot import render_lines_svg
 
 # Default linear drift slope for the preset experiments.  The reference
@@ -80,7 +80,7 @@ TABLE3_REFERENCE = {
 
 def flip_config(
     beta: int,
-    policy: PolicySpec,
+    policy: PolicyParams,
     T: int = 5000,
     reps: int = 100,
     base_seed: int = DEFAULT_SEED,
@@ -90,7 +90,7 @@ def flip_config(
     return ExperimentConfig(
         env=EnvSpec(kind="flip", T=T, segments=beta + 1, hi=0.99, lo=0.01),
         policy=policy,
-        drift=DriftSpec("linear", drift_l),
+        drift=DriftModel("linear", drift_l),
         restart=None,
         reps=reps,
         base_seed=base_seed,
@@ -99,7 +99,7 @@ def flip_config(
 
 def sinusoidal_config(
     budget: float,
-    policy: PolicySpec,
+    policy: PolicyParams,
     T: int = 5000,
     reps: int = 2000,
     base_seed: int = DEFAULT_SEED,
@@ -117,8 +117,8 @@ def sinusoidal_config(
             active_fraction=active_fraction,
         ),
         policy=policy,
-        drift=DriftSpec("linear", drift_l),
-        restart=RestartSpec(sigma=None, lam=lam),
+        drift=DriftModel("linear", drift_l),
+        restart=RestartParams(sigma=None, lam=lam),
         reps=reps,
         base_seed=base_seed,
     )
@@ -127,9 +127,9 @@ def sinusoidal_config(
 def table2_policies(beta: int) -> dict:
     row = TABLE2_REFERENCE[beta]
     return {
-        "U": PolicySpec(kind="ucb1"),
-        "S": PolicySpec(kind="swucb", tau_c=row["tau_c"]),
-        "D": PolicySpec(kind="ducb", gamma_c=row["gamma_c"]),
+        "U": PolicyParams(kind="ucb1"),
+        "S": PolicyParams(kind="swucb", tau_c=row["tau_c"]),
+        "D": PolicyParams(kind="ducb", gamma_c=row["gamma_c"]),
     }
 
 
@@ -137,9 +137,63 @@ def table2_policies(beta: int) -> dict:
 # sub-policy's worst-case-regret constant) nor the eps-greedy schedule;
 # these were calibrated once against the reference column and fixed.
 TABLE3_PRESETS = {
-    "U": (PolicySpec(kind="ucb1"), 3.0),
-    "eG": (PolicySpec(kind="eps_greedy", eps_c=1.0), 0.5),
-    "T": (PolicySpec(kind="thompson"), 1.0),
+    "U": (PolicyParams(kind="ucb1"), 3.0),
+    "eG": (PolicyParams(kind="eps_greedy", eps_c=1.0), 0.5),
+    "T": (PolicyParams(kind="thompson"), 1.0),
+}
+
+
+def _abrupt_figure(gamma_c: float, tau_c: float) -> list:
+    policies = (
+        PolicyParams(kind="ucb1"),
+        PolicyParams(kind="ducb", gamma_c=gamma_c),
+        PolicyParams(kind="swucb", tau_c=tau_c),
+    )
+    return [(None, pol.kind, flip_config(1, pol)) for pol in policies]
+
+
+_DRIFT_FIGURE = [
+    (None, pol.kind, sinusoidal_config(3.0, pol, lam=lam))
+    for pol, lam in TABLE3_PRESETS.values()
+]
+
+# ``reproduce`` targets: the experiments each one runs, in order, as
+# (table row, label, config).  Tables label rows by policy tag, figures
+# label curves by policy kind.
+REPRODUCE_PRESETS = {
+    "table2": [
+        (beta, tag, flip_config(beta, pol))
+        for beta in sorted(TABLE2_REFERENCE)
+        for tag, pol in table2_policies(beta).items()
+    ],
+    "table3": [
+        (budget, tag, sinusoidal_config(budget, pol, lam=lam))
+        for budget in TABLE3_BUDGETS
+        for tag, (pol, lam) in TABLE3_PRESETS.items()
+    ],
+    # tuning constants follow the reference table's single-breakpoint row
+    "fig2": _abrupt_figure(gamma_c=15.0, tau_c=1.0),
+    "fig3": _abrupt_figure(gamma_c=40.0, tau_c=1.0),
+    "fig4": _DRIFT_FIGURE,
+    "fig5": _DRIFT_FIGURE,
+}
+
+# Tables: the header of the row column and the reference values per row.
+REFERENCE_TABLES = {
+    "table2": ("beta", TABLE2_REFERENCE),
+    "table3": ("v_t", {
+        budget: {key: column[i] for key, column in TABLE3_REFERENCE.items()}
+        for i, budget in enumerate(TABLE3_BUDGETS)
+    }),
+}
+
+# Figures: the curves each one plots, as (metric, curve name).
+_REGRET_CURVES = (("regret", "cum_pseudo_regret"), ("compensation", "cum_compensation"))
+FIGURE_CURVES = {
+    "fig2": _REGRET_CURVES,
+    "fig3": _REGRET_CURVES,
+    "fig4": (("reward", "cum_true_reward"),),
+    "fig5": _REGRET_CURVES,
 }
 
 
@@ -257,138 +311,51 @@ def _write_curve_csv(path, mean_arr, stderr_arr) -> None:
             writer.writerow([t, repr(m), repr(s)])
 
 
-def _comparison_rows(produced: dict, reference: dict, keys) -> list:
-    rows = []
-    for key in keys:
-        ours = produced[key]
-        ref = reference[key]
-        rows.append((key, ours, ref, (ours - ref) / ref))
-    return rows
-
-
-def _reproduce_table2(args, out: Path, assignments: dict) -> None:
-    rows = []
-    for beta in sorted(TABLE2_REFERENCE):
-        ref = TABLE2_REFERENCE[beta]
-        for tag, pol in table2_policies(beta).items():
-            config = flip_config(beta, pol)
-            if assignments:
-                config = config.with_overrides(assignments)
-            if args.seed is not None:
-                config = config.with_overrides({"base_seed": args.seed})
-            summary = run_experiment(config, workers=args.workers)
-            for metric, field in (("R", "pseudo_regret"), ("C", "compensation")):
-                key = f"{metric}_{tag}"
-                ours = summary.mean[field]
-                rows.append((beta, key, ours, ref[key], (ours - ref[key]) / ref[key]))
-    with open(out / "table2_comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "metric", "produced", "reference", "rel_dev"])
-        for beta, key, ours, ref_v, dev in rows:
-            writer.writerow([beta, key, f"{ours:.4f}", ref_v, f"{dev:+.4f}"])
-    print(f"wrote {out / 'table2_comparison.csv'}")
-
-
-def _reproduce_table3(args, out: Path, assignments: dict) -> None:
-    rows = []
-    for idx, budget in enumerate(TABLE3_BUDGETS):
-        for tag, (pol, lam) in TABLE3_PRESETS.items():
-            config = sinusoidal_config(budget, pol, lam=lam)
-            if assignments:
-                config = config.with_overrides(assignments)
-            if args.seed is not None:
-                config = config.with_overrides({"base_seed": args.seed})
-            summary = run_experiment(config, workers=args.workers)
-            for metric, field in (("R", "pseudo_regret"), ("C", "compensation")):
-                key = f"{metric}_{tag}"
-                ref_v = TABLE3_REFERENCE[key][idx]
-                ours = summary.mean[field]
-                rows.append((budget, key, ours, ref_v, (ours - ref_v) / ref_v))
-    with open(out / "table3_comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v_t", "metric", "produced", "reference", "rel_dev"])
-        for budget, key, ours, ref_v, dev in rows:
-            writer.writerow([budget, key, f"{ours:.4f}", ref_v, f"{dev:+.4f}"])
-    print(f"wrote {out / 'table3_comparison.csv'}")
-
-
-def _reproduce_fig_abrupt(args, out: Path, assignments: dict, name: str,
-                          gamma_c: float, tau_c: float) -> None:
-    policies = {
-        "ucb1": PolicySpec(kind="ucb1"),
-        "ducb": PolicySpec(kind="ducb", gamma_c=gamma_c),
-        "swucb": PolicySpec(kind="swucb", tau_c=tau_c),
-    }
-    curves = {}
-    for tag, pol in policies.items():
-        config = flip_config(1, pol)
-        if assignments:
-            config = config.with_overrides(assignments)
-        if args.seed is not None:
-            config = config.with_overrides({"base_seed": args.seed})
-        summary = run_experiment(config, workers=args.workers, collect_curves=True)
-        for metric, key in (("regret", "cum_pseudo_regret"),
-                            ("compensation", "cum_compensation")):
-            mean = summary.curve_mean[key]
-            _write_curve_csv(out / f"{name}_{tag}_{metric}.csv", mean,
-                             summary.curve_stderr[key])
-            ts = list(range(1, mean.size + 1))
-            curves.setdefault(metric, {})[tag] = (ts[::10], mean.tolist()[::10])
-    for metric, series in curves.items():
-        render_lines_svg(series, out / f"{name}_{metric}.svg",
-                         title=f"{name} {metric}", ylabel=metric)
-    print(f"wrote {name} plot data under {out}")
-
-
-def _reproduce_fig_drift(args, out: Path, assignments: dict, name: str,
-                         metrics) -> None:
-    curves = {}
-    for tag, (pol, lam) in TABLE3_PRESETS.items():
-        label = {"U": "ucb1", "eG": "eps_greedy", "T": "thompson"}[tag]
-        config = sinusoidal_config(3.0, pol, lam=lam)
-        if assignments:
-            config = config.with_overrides(assignments)
-        if args.seed is not None:
-            config = config.with_overrides({"base_seed": args.seed})
-        summary = run_experiment(config, workers=args.workers, collect_curves=True)
-        for metric, key in metrics:
-            mean = summary.curve_mean[key]
-            _write_curve_csv(out / f"{name}_{label}_{metric}.csv", mean,
-                             summary.curve_stderr[key])
-            ts = list(range(1, mean.size + 1))
-            curves.setdefault(metric, {})[label] = (ts[::10], mean.tolist()[::10])
-    for metric, series in curves.items():
-        render_lines_svg(series, out / f"{name}_{metric}.svg",
-                         title=f"{name} {metric}", ylabel=metric)
-    print(f"wrote {name} plot data under {out}")
-
-
 def cmd_reproduce(args) -> int:
     out = _outdir(args)
-    assignments = _parse_assignments(args.set)
     target = args.target
-    if target == "table2":
-        _reproduce_table2(args, out, assignments)
-    elif target == "table3":
-        _reproduce_table3(args, out, assignments)
-    elif target == "fig2":
-        # tuning constants follow the reference table's single-breakpoint row
-        _reproduce_fig_abrupt(args, out, assignments, "fig2", gamma_c=15.0, tau_c=1.0)
-    elif target == "fig3":
-        _reproduce_fig_abrupt(args, out, assignments, "fig3", gamma_c=40.0, tau_c=1.0)
-    elif target == "fig4":
-        _reproduce_fig_drift(args, out, assignments, "fig4",
-                             [("reward", "cum_true_reward")])
-    elif target == "fig5":
-        _reproduce_fig_drift(args, out, assignments, "fig5",
-                             [("regret", "cum_pseudo_regret"),
-                              ("compensation", "cum_compensation")])
-    else:  # pragma: no cover - argparse choices guard this
-        raise ConfigError("target", f"unknown target {target!r}")
+    overrides = _parse_assignments(args.set)
+    if args.seed is not None:
+        overrides["base_seed"] = args.seed
+    curves = FIGURE_CURVES.get(target)
+    rows, series = [], {}
+    for row, label, config in REPRODUCE_PRESETS[target]:
+        if overrides:
+            config = config.with_overrides(overrides)
+        summary = run_experiment(
+            config, workers=args.workers, collect_curves=curves is not None
+        )
+        if curves is None:
+            reference = REFERENCE_TABLES[target][1][row]
+            for metric, field in (("R", "pseudo_regret"), ("C", "compensation")):
+                key = f"{metric}_{label}"
+                ours, ref_v = summary.mean[field], reference[key]
+                dev = (ours - ref_v) / ref_v
+                rows.append([row, key, f"{ours:.4f}", ref_v, f"{dev:+.4f}"])
+        else:
+            for metric, key in curves:
+                mean = summary.curve_mean[key]
+                _write_curve_csv(out / f"{target}_{label}_{metric}.csv", mean,
+                                 summary.curve_stderr[key])
+                ts = list(range(1, mean.size + 1))
+                series.setdefault(metric, {})[label] = (ts[::10], mean.tolist()[::10])
+    if curves is None:
+        path = out / f"{target}_comparison.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([REFERENCE_TABLES[target][0], "metric", "produced",
+                             "reference", "rel_dev"])
+            writer.writerows(rows)
+        print(f"wrote {path}")
+    else:
+        for metric, lines in series.items():
+            render_lines_svg(lines, out / f"{target}_{metric}.svg",
+                             title=f"{target} {metric}", ylabel=metric)
+        print(f"wrote {target} plot data under {out}")
     return 0
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
@@ -408,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config key (dotted path)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=_worker_count, default=1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel workers (at most the CPU count are started)")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
 
@@ -424,20 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scaling = sub.add_parser("scaling", help="log-log growth against T")
     common(p_scaling, config_required=False)
     p_scaling.add_argument("--family", choices=("flip", "sinusoidal"), required=True)
-    p_scaling.add_argument("--policy", default="ducb",
-                           choices=("ucb1", "ducb", "swucb", "eps_greedy", "thompson"))
+    p_scaling.add_argument("--policy", default="ducb", choices=POLICY_KINDS)
     p_scaling.add_argument("--horizons", required=True,
                            help="comma-separated horizon list (>= 3 values)")
-    p_scaling.add_argument("--reps", type=int, default=200)
+    p_scaling.add_argument("--reps", type=_positive_int, default=200)
     p_scaling.set_defaults(func=cmd_scaling)
 
     p_rep = sub.add_parser("reproduce", help="rerun the reference experiments")
-    p_rep.add_argument("target",
-                       choices=("table2", "table3", "fig2", "fig3", "fig4", "fig5"))
+    p_rep.add_argument("target", choices=tuple(REPRODUCE_PRESETS))
     p_rep.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override preset config keys (e.g. reps=10)")
     p_rep.add_argument("--out", default="out")
-    p_rep.add_argument("--workers", type=_worker_count, default=1)
+    p_rep.add_argument("--workers", type=_positive_int, default=1)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.set_defaults(func=cmd_reproduce)
     return parser

@@ -1,13 +1,14 @@
 """Seeded multi-replication experiment runner.
 
-A fully serializable :class:`ExperimentConfig` names the environment, the
-policy (with either explicit ``gamma``/``tau`` or the tuning constants
-``gamma_c``/``tau_c`` that resolve them from the horizon and breakpoint
-count), the drift model, and an optional restart schedule.  Replication
-``i`` draws from a private stream seeded by a 64-bit mix of
-``(base_seed, i)``, so results are bit-reproducible and independent of both
-worker count and execution order; aggregation reduces over rep-indexed
-arrays with a fixed order.
+A fully serializable :class:`ExperimentConfig` names the environment
+(:class:`EnvSpec`), the policy (:class:`PolicyParams`, with either explicit
+``gamma``/``tau`` or the tuning constants ``gamma_c``/``tau_c`` that resolve
+them from the horizon and breakpoint count), the drift model
+(:class:`DriftModel`), and an optional restart schedule
+(:class:`RestartParams`).  Replication ``i`` draws from a private stream
+seeded by a 64-bit mix of ``(base_seed, i)``, so results are
+bit-reproducible and independent of both worker count and execution order;
+aggregation reduces over rep-indexed arrays with a fixed order.
 
 Metrics per replication:
 
@@ -23,7 +24,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,16 +37,13 @@ from .env import (
     variation_of,
 )
 from .incentive import CurveRecorder, DriftModel, RunTotals, run_incentivized
-from .policy import POLICY_KINDS, PolicyParams, make_policy
+from .policy import PolicyParams, make_policy
 from .restart import RestartParams, batch_size, run_restarting
 from .seeding import make_rng, rep_seed
 
 __all__ = [
     "ConfigError",
     "EnvSpec",
-    "PolicySpec",
-    "DriftSpec",
-    "RestartSpec",
     "ExperimentConfig",
     "Resolved",
     "ReplicationResult",
@@ -59,7 +58,6 @@ __all__ = [
     "pool_plan",
     "run_experiment",
     "write_summary_json",
-    "write_trace_csv",
     "sweep",
     "fit_loglog",
     "scaling_probe",
@@ -118,19 +116,16 @@ def tuned_tau(beta_T: int, T: int, tau_c: float) -> int:
 # configuration schema
 
 
-def _require_keys(d: dict, allowed: set, path: str) -> None:
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(f"{path}.{k}" if path else k, "unknown key")
+_REQUIRED = object()  # schema default of a key that must be present
 
 
-def _get(d: dict, path: str, key: str, kind, required: bool, default=None):
+def _get(d: dict, path: str, key: str, kind, default=_REQUIRED):
+    where = f"{path}.{key}" if path else key
     if key not in d or d[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
+        if default is _REQUIRED:
+            raise ConfigError(where, "missing required key")
         return default
     v = d[key]
-    where = f"{path}.{key}" if path else key
     if kind is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(where, f"expected a number, got {v!r}")
@@ -165,56 +160,70 @@ class EnvSpec:
     amplitude: float | None = None
     active_fraction: float | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "env") -> "EnvSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(path, "expected an object")
-        kind = _get(d, path, "kind", str, required=True)
-        if kind == "flip":
-            _require_keys(d, {"kind", "T", "segments", "hi", "lo"}, path)
-            return cls(
-                kind="flip",
-                T=_get(d, path, "T", int, required=True),
-                segments=_get(d, path, "segments", int, False, 2),
-                hi=_get(d, path, "hi", float, False, 0.99),
-                lo=_get(d, path, "lo", float, False, 0.01),
-            )
-        if kind == "sinusoidal":
-            _require_keys(
-                d, {"kind", "T", "budget", "amplitude", "active_fraction"}, path
-            )
-            return cls(
-                kind="sinusoidal",
-                T=_get(d, path, "T", int, required=True),
-                budget=_get(d, path, "budget", float, False, 3.0),
-                amplitude=_get(d, path, "amplitude", float, False, 0.3),
-                active_fraction=_get(d, path, "active_fraction", float, False, 1.0),
-            )
-        raise ConfigError(f"{path}.kind", f"unknown environment kind {kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "flip":
-            return {
-                "kind": "flip",
-                "T": self.T,
-                "segments": self.segments,
-                "hi": self.hi,
-                "lo": self.lo,
-            }
-        return {
-            "kind": "sinusoidal",
-            "T": self.T,
-            "budget": self.budget,
-            "amplitude": self.amplitude,
-            "active_fraction": self.active_fraction,
-        }
-
     @property
     def beta_T(self) -> int:
         """Breakpoint count (at least 1, for the tuning formulas)."""
         if self.kind == "flip":
             return max(1, self.segments - 1)
         return 1
+
+
+# Config sections: section -> (type, default kind, kind -> key -> (type,
+# default)).  A section without kinds has the single kind ``None``.  A key is
+# accepted exactly when it is listed for the section's kind, and it is
+# written back out exactly then.
+_SCHEMA = {
+    "env": (EnvSpec, _REQUIRED, {
+        "flip": {"T": (int, _REQUIRED), "segments": (int, 2),
+                 "hi": (float, 0.99), "lo": (float, 0.01)},
+        "sinusoidal": {"T": (int, _REQUIRED), "budget": (float, 3.0),
+                       "amplitude": (float, 0.3), "active_fraction": (float, 1.0)},
+    }),
+    "policy": (PolicyParams, _REQUIRED, {
+        "ucb1": {},
+        "ducb": {"xi": (float, 0.6), "gamma": (float, None), "gamma_c": (float, None)},
+        "swucb": {"xi": (float, 0.6), "tau": (int, None), "tau_c": (float, None)},
+        "eps_greedy": {"eps_c": (float, 5.0)},
+        "thompson": {"prior_a": (float, 1.0), "prior_b": (float, 1.0)},
+    }),
+    "drift": (DriftModel, "linear", {
+        "linear": {"l": (float, 0.0)},
+        "saturating": {"l": (float, 0.0), "cap": (float, _REQUIRED)},
+    }),
+    "restart": (RestartParams, None, {
+        None: {"sigma": (int, None), "lam": (float, 1.0)},
+    }),
+}
+
+
+def _parse_section(section: str, d):
+    cls, default_kind, kinds = _SCHEMA[section]
+    if not isinstance(d, dict):
+        raise ConfigError(section, "expected an object")
+    fields = {}
+    kind = None
+    if default_kind is not None:
+        kind = fields["kind"] = _get(d, section, "kind", str, default_kind)
+        if kind not in kinds:
+            raise ConfigError(f"{section}.kind", f"unknown {section} kind {kind!r}")
+    keys = kinds[kind]
+    for k in d:
+        if k not in keys and k not in fields:  # fields holds "kind" at most
+            raise ConfigError(f"{section}.{k}", "unknown key")
+    for k, (kind_of, default) in keys.items():
+        fields[k] = _get(d, section, k, kind_of, default)
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from exc
+
+
+def _dump_section(section: str, obj) -> dict:
+    kinds = _SCHEMA[section][2]
+    kind = getattr(obj, "kind", None)
+    out = {} if kind is None else {"kind": kind}
+    out.update((k, getattr(obj, k)) for k in kinds[kind])
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -228,122 +237,6 @@ def build_env(spec: EnvSpec):
         )
     except ValueError as exc:
         raise ConfigError("env", str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Policy kind plus either explicit parameters or tuning constants."""
-
-    kind: str
-    xi: float = 0.6
-    gamma: float | None = None
-    gamma_c: float | None = None
-    tau: int | None = None
-    tau_c: float | None = None
-    eps_c: float = 5.0
-    prior_a: float = 1.0
-    prior_b: float = 1.0
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "policy") -> "PolicySpec":
-        if not isinstance(d, dict):
-            raise ConfigError(path, "expected an object")
-        kind = _get(d, path, "kind", str, required=True)
-        if kind not in POLICY_KINDS:
-            raise ConfigError(f"{path}.kind", f"unknown policy kind {kind!r}")
-        allowed = {
-            "ucb1": {"kind"},
-            "ducb": {"kind", "xi", "gamma", "gamma_c"},
-            "swucb": {"kind", "xi", "tau", "tau_c"},
-            "eps_greedy": {"kind", "eps_c"},
-            "thompson": {"kind", "prior_a", "prior_b"},
-        }[kind]
-        _require_keys(d, allowed, path)
-        spec = cls(
-            kind=kind,
-            xi=_get(d, path, "xi", float, False, 0.6),
-            gamma=_get(d, path, "gamma", float, False),
-            gamma_c=_get(d, path, "gamma_c", float, False),
-            tau=_get(d, path, "tau", int, False),
-            tau_c=_get(d, path, "tau_c", float, False),
-            eps_c=_get(d, path, "eps_c", float, False, 5.0),
-            prior_a=_get(d, path, "prior_a", float, False, 1.0),
-            prior_b=_get(d, path, "prior_b", float, False, 1.0),
-        )
-        if kind == "ducb" and spec.gamma is None and spec.gamma_c is None:
-            raise ConfigError(f"{path}.gamma", "ducb needs gamma or gamma_c")
-        if kind == "swucb" and spec.tau is None and spec.tau_c is None:
-            raise ConfigError(f"{path}.tau", "swucb needs tau or tau_c")
-        return spec
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "ducb":
-            out.update(xi=self.xi, gamma=self.gamma, gamma_c=self.gamma_c)
-        elif self.kind == "swucb":
-            out.update(xi=self.xi, tau=self.tau, tau_c=self.tau_c)
-        elif self.kind == "eps_greedy":
-            out.update(eps_c=self.eps_c)
-        elif self.kind == "thompson":
-            out.update(prior_a=self.prior_a, prior_b=self.prior_b)
-        return out
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    kind: str = "linear"
-    l: float = 0.0
-    cap: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "drift") -> "DriftSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(path, "expected an object")
-        kind = _get(d, path, "kind", str, False, "linear")
-        if kind == "linear":
-            _require_keys(d, {"kind", "l"}, path)
-            return cls("linear", _get(d, path, "l", float, False, 0.0), None)
-        if kind == "saturating":
-            _require_keys(d, {"kind", "l", "cap"}, path)
-            return cls(
-                "saturating",
-                _get(d, path, "l", float, False, 0.0),
-                _get(d, path, "cap", float, required=True),
-            )
-        raise ConfigError(f"{path}.kind", f"unknown drift kind {kind!r}")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "l": self.l}
-        if self.kind == "saturating":
-            out["cap"] = self.cap
-        return out
-
-    def to_model(self) -> DriftModel:
-        try:
-            return DriftModel(self.kind, self.l, self.cap)
-        except ValueError as exc:
-            raise ConfigError("drift", str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class RestartSpec:
-    """Restart schedule; ``sigma=None`` derives the batch size from ``lam``."""
-
-    sigma: int | None = None
-    lam: float = 1.0
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "restart") -> "RestartSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(path, "expected an object or null")
-        _require_keys(d, {"sigma", "lam"}, path)
-        return cls(
-            sigma=_get(d, path, "sigma", int, False),
-            lam=_get(d, path, "lam", float, False, 1.0),
-        )
-
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "lam": self.lam}
 
 
 @dataclass(frozen=True)
@@ -367,9 +260,9 @@ class ExperimentConfig:
     """Complete, losslessly serializable description of one experiment."""
 
     env: EnvSpec
-    policy: PolicySpec
-    drift: DriftSpec
-    restart: RestartSpec | None
+    policy: PolicyParams
+    drift: DriftModel
+    restart: RestartParams | None
     reps: int
     base_seed: int
     trace: bool = False
@@ -378,28 +271,26 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("", "config must be a JSON object")
-        _require_keys(
-            d, {"env", "policy", "drift", "restart", "reps", "base_seed", "trace"}, ""
-        )
-        if "env" not in d:
-            raise ConfigError("env", "missing required key")
-        if "policy" not in d:
-            raise ConfigError("policy", "missing required key")
-        env = EnvSpec.from_dict(d["env"])
-        policy = PolicySpec.from_dict(d["policy"])
-        drift = (
-            DriftSpec.from_dict(d["drift"]) if d.get("drift") is not None else DriftSpec()
-        )
-        restart = (
-            RestartSpec.from_dict(d["restart"])
-            if d.get("restart") is not None
-            else None
-        )
-        reps = _get(d, "", "reps", int, False, 1)
+        for k in d:
+            if k not in _SCHEMA and k not in ("reps", "base_seed", "trace"):
+                raise ConfigError(k, "unknown key")
+        for k in ("env", "policy"):
+            if k not in d:
+                raise ConfigError(k, "missing required key")
+        env = _parse_section("env", d["env"])
+        policy = _parse_section("policy", d["policy"])
+        if policy.kind == "ducb" and policy.gamma is None and policy.gamma_c is None:
+            raise ConfigError("policy.gamma", "ducb needs gamma or gamma_c")
+        if policy.kind == "swucb" and policy.tau is None and policy.tau_c is None:
+            raise ConfigError("policy.tau", "swucb needs tau or tau_c")
+        drift, restart = d.get("drift"), d.get("restart")
+        drift = DriftModel() if drift is None else _parse_section("drift", drift)
+        restart = None if restart is None else _parse_section("restart", restart)
+        reps = _get(d, "", "reps", int, 1)
         if reps < 1:
             raise ConfigError("reps", "must be >= 1")
-        base_seed = _get(d, "", "base_seed", int, False, 0)
-        trace = _get(d, "", "trace", bool, False, False)
+        base_seed = _get(d, "", "base_seed", int, 0)
+        trace = _get(d, "", "trace", bool, False)
         return cls(env, policy, drift, restart, reps, base_seed, trace)
 
     @classmethod
@@ -412,10 +303,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "env": self.env.to_dict(),
-            "policy": self.policy.to_dict(),
-            "drift": self.drift.to_dict(),
-            "restart": self.restart.to_dict() if self.restart else None,
+            "env": _dump_section("env", self.env),
+            "policy": _dump_section("policy", self.policy),
+            "drift": _dump_section("drift", self.drift),
+            "restart": _dump_section("restart", self.restart) if self.restart else None,
             "reps": self.reps,
             "base_seed": self.base_seed,
             "trace": self.trace,
@@ -457,26 +348,10 @@ class ExperimentConfig:
             gamma = p.gamma if p.gamma is not None else tuned_gamma(beta, T, p.gamma_c)
         elif p.kind == "swucb":
             tau = p.tau if p.tau is not None else tuned_tau(beta, T, p.tau_c)
-        try:
-            params = PolicyParams(
-                kind=p.kind,
-                xi=p.xi,
-                gamma=gamma,
-                tau=tau,
-                eps_c=p.eps_c,
-                prior_a=p.prior_a,
-                prior_b=p.prior_b,
-            )
-        except ValueError as exc:
-            raise ConfigError("policy", str(exc)) from exc
         sigma = lam = None
         if self.restart is not None:
-            lam = self.restart.lam
-            if self.restart.sigma is not None:
-                sigma = self.restart.sigma
-                if not 1 <= sigma <= T:
-                    raise ConfigError("restart.sigma", f"must lie in [1, {T}]")
-            else:
+            sigma, lam = self.restart.sigma, self.restart.lam
+            if sigma is None:
                 budget = (
                     envobj.budget
                     if isinstance(envobj, DriftingEnvironment)
@@ -486,6 +361,8 @@ class ExperimentConfig:
                     sigma = batch_size(T, budget, K, lam)
                 except ValueError as exc:
                     raise ConfigError("restart.sigma", str(exc)) from exc
+            elif sigma > T:
+                raise ConfigError("restart.sigma", f"must lie in [1, {T}]")
         return Resolved(
             T=T,
             K=K,
@@ -495,8 +372,8 @@ class ExperimentConfig:
             tau=tau,
             sigma=sigma,
             lam=lam,
-            policy_params=params,
-            drift_model=self.drift.to_model(),
+            policy_params=replace(p, gamma=gamma, tau=tau),
+            drift_model=self.drift,
         )
 
 
@@ -561,22 +438,8 @@ def run_replication(
     )
 
 
-def _run_chunk(cfg_dict: dict, rep_indices: list, collect_curves: bool):
-    config = ExperimentConfig.from_dict(cfg_dict)
-    out = []
-    for rep in rep_indices:
-        res = run_replication(config, rep, collect_curves=collect_curves)
-        out.append(
-            (
-                rep,
-                res.pseudo_regret,
-                res.realized_regret,
-                res.compensation,
-                res.true_reward,
-                res.curves,
-            )
-        )
-    return out
+def _run_chunk(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
+    return [run_replication(config, rep, collect_curves) for rep in rep_indices]
 
 
 METRIC_NAMES = ("pseudo_regret", "realized_regret", "compensation", "true_reward")
@@ -666,54 +529,37 @@ def run_experiment(
         raise ConfigError("workers", f"must be >= 1, got {workers}")
     resolved = config.resolve()  # validate before spawning anything
     reps = config.reps
+    tracing = config.trace and trace_path is not None
     pool, ranges = pool_plan(reps, workers, os.cpu_count() or 1, collect_curves)
     values = {name: np.empty(reps) for name in METRIC_NAMES}
     curve_sum = curve_sumsq = None
-
-    def fold_curves(curves: dict) -> None:
-        nonlocal curve_sum, curve_sumsq
-        if curve_sum is None:
-            curve_sum = {k: np.zeros_like(curves[k]) for k in CURVE_NAMES}
-            curve_sumsq = {k: np.zeros_like(curves[k]) for k in CURVE_NAMES}
-        for k in CURVE_NAMES:
-            curve_sum[k] += curves[k]
-            curve_sumsq[k] += curves[k] ** 2
-
-    if config.trace and trace_path is not None:
-        envobj = build_env(config.env)
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with ExitStack() as stack:
+        if tracing:
+            envobj = build_env(config.env)
+            writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
             writer.writerow(TRACE_HEADER.split(","))
-            for rep in range(reps):
-                res = run_replication(
-                    config, rep, collect_curves=collect_curves, collect_trace=True
-                )
-                for name in METRIC_NAMES:
-                    values[name][rep] = getattr(res, name)
-                if collect_curves:
-                    fold_curves(res.curves)
-                _write_trace_rows(writer, envobj, rep, res.trace)
-    elif pool == 1:
-        for rep in range(reps):
-            res = run_replication(config, rep, collect_curves=collect_curves)
+        if tracing or pool == 1:
+            results = (
+                run_replication(config, rep, collect_curves, tracing)
+                for rep in range(reps)
+            )
+        else:
+            ex = stack.enter_context(ProcessPoolExecutor(max_workers=pool))
+            futures = [ex.submit(_run_chunk, config, r, collect_curves) for r in ranges]
+            # submission order => deterministic reduction
+            results = (res for fut in futures for res in fut.result())
+        for rep, res in enumerate(results):
             for name in METRIC_NAMES:
                 values[name][rep] = getattr(res, name)
             if collect_curves:
-                fold_curves(res.curves)
-    else:
-        cfg_dict = config.to_dict()
-        with ProcessPoolExecutor(max_workers=pool) as ex:
-            futures = [
-                ex.submit(_run_chunk, cfg_dict, r, collect_curves) for r in ranges
-            ]
-            for fut in futures:  # submission order => deterministic reduction
-                for rep, pseudo, realized, comp, reward, curves in fut.result():
-                    values["pseudo_regret"][rep] = pseudo
-                    values["realized_regret"][rep] = realized
-                    values["compensation"][rep] = comp
-                    values["true_reward"][rep] = reward
-                    if collect_curves:
-                        fold_curves(curves)
+                if curve_sum is None:
+                    curve_sum = {k: np.zeros_like(res.curves[k]) for k in CURVE_NAMES}
+                    curve_sumsq = {k: np.zeros_like(res.curves[k]) for k in CURVE_NAMES}
+                for k in CURVE_NAMES:
+                    curve_sum[k] += res.curves[k]
+                    curve_sumsq[k] += res.curves[k] ** 2
+            if tracing:
+                _write_trace_rows(writer, envobj, rep, res.trace)
 
     mean = {name: float(np.mean(values[name])) for name in METRIC_NAMES}
     stderr = {name: _stderr(values[name]) for name in METRIC_NAMES}
@@ -766,24 +612,6 @@ def _write_trace_rows(writer, envobj, rep: int, outcomes: list) -> None:
         )
 
 
-def write_trace_csv(config: ExperimentConfig, path, collect_curves: bool = False):
-    """Convenience wrapper: run with tracing on and stream rows to ``path``."""
-    traced = (
-        config
-        if config.trace
-        else ExperimentConfig(
-            config.env,
-            config.policy,
-            config.drift,
-            config.restart,
-            config.reps,
-            config.base_seed,
-            True,
-        )
-    )
-    return run_experiment(traced, collect_curves=collect_curves, trace_path=path)
-
-
 # ---------------------------------------------------------------------------
 # sweeps, scaling probes, diagnostics
 
@@ -811,20 +639,20 @@ def sweep(config: ExperimentConfig, values=None, workers: int = 1) -> SweepResul
     """
     kind = config.policy.kind
     if kind == "ducb":
-        param, values = "gamma_c", tuple(values or GAMMA_C_GRID)
+        explicit, param, values = "gamma", "gamma_c", tuple(values or GAMMA_C_GRID)
     elif kind == "swucb":
-        param, values = "tau_c", tuple(values or TAU_C_GRID)
+        explicit, param, values = "tau", "tau_c", tuple(values or TAU_C_GRID)
     else:
         raise ConfigError("policy.kind", f"sweep tunes ducb or swucb, not {kind!r}")
     if not values:
         raise ConfigError("sweep", "grid must be nonempty")
+    trials = [  # every grid point is validated before the first one runs
+        config.with_overrides({f"policy.{explicit}": None, f"policy.{param}": v})
+        for v in values
+    ]
     points = []
     best = best_summary = None
-    for v in values:
-        if param == "gamma_c":
-            trial = config.with_overrides({"policy.gamma": None, "policy.gamma_c": v})
-        else:
-            trial = config.with_overrides({"policy.tau": None, "policy.tau_c": v})
+    for v, trial in zip(values, trials):
         summary = run_experiment(trial, workers=workers)
         point = SweepPoint(
             float(v), summary.mean["pseudo_regret"], summary.mean["compensation"]
@@ -876,6 +704,8 @@ def scaling_probe(
     horizons = sorted(int(t) for t in horizons)
     if len(horizons) < 3:
         raise ValueError("need at least three horizons")
+    if reps < 1:
+        raise ConfigError("reps", f"must be >= 1, got {reps}")
     regret_means, comp_means = [], []
     for T in horizons:
         if family == "flip":
@@ -885,19 +715,19 @@ def scaling_probe(
             envspec = EnvSpec(
                 kind="sinusoidal", T=T, budget=budget, amplitude=0.3, active_fraction=1.0
             )
-            restart = RestartSpec(sigma=None, lam=1.0)
+            restart = RestartParams(sigma=None, lam=1.0)
         else:
             raise ValueError(f"unknown scaling family {family!r}")
         if policy_kind == "ducb":
-            pol = PolicySpec(kind="ducb", gamma_c=15.0)
+            pol = PolicyParams(kind="ducb", gamma_c=15.0)
         elif policy_kind == "swucb":
-            pol = PolicySpec(kind="swucb", tau_c=1.0)
+            pol = PolicyParams(kind="swucb", tau_c=1.0)
         else:
-            pol = PolicySpec(kind=policy_kind)
+            pol = PolicyParams(kind=policy_kind)
         config = ExperimentConfig(
             env=envspec,
             policy=pol,
-            drift=DriftSpec("linear", drift_l),
+            drift=DriftModel("linear", drift_l),
             restart=restart,
             reps=reps,
             base_seed=base_seed,

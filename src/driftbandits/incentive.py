@@ -37,7 +37,6 @@ __all__ = [
     "StepOutcome",
     "RunTotals",
     "CurveRecorder",
-    "drift_apply",
     "incentive_step",
     "run_segment",
     "run_incentivized",
@@ -49,7 +48,7 @@ class DriftModel:
     """Reward-drift function ``f``: linear ``l*x`` or saturating ``l*min(x, cap)``.
 
     Both variants are nondecreasing, vanish at 0, and are Lipschitz with
-    constant ``l``.
+    constant ``l``.  This is also the drift section of an experiment config.
     """
 
     kind: str = "linear"
@@ -66,16 +65,12 @@ class DriftModel:
                 raise ValueError("saturating drift requires a finite cap > 0")
 
     def apply(self, chi: float) -> float:
+        """Drift ``f(chi)`` caused by paying compensation ``chi``."""
         if chi != chi or chi < 0.0:
             raise _bad_compensation(chi)
         if self.kind == "linear":
             return self.l * chi
         return self.l * (chi if chi < self.cap else self.cap)
-
-
-def drift_apply(model: DriftModel, chi: float) -> float:
-    """Drift ``f(chi)`` caused by paying compensation ``chi``."""
-    return model.apply(chi)
 
 
 @dataclass(frozen=True, slots=True)

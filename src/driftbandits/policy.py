@@ -41,20 +41,24 @@ __all__ = [
 POLICY_KINDS = ("ucb1", "ducb", "swucb", "eps_greedy", "thompson")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyParams:
-    """Constructor arguments for any policy kind.
+    """The policy section of a config: kind, parameters and tuning constants.
 
     ``xi`` applies to DUCB/SWUCB (theory requires ``xi > 1/2``; values down
-    to exactly 1/2 are accepted so DUCB can reduce to UCB1).  ``gamma`` and
-    ``tau`` are required by DUCB and SWUCB respectively; the rest only
-    matter for eps-greedy / Thompson.
+    to exactly 1/2 are accepted so DUCB can reduce to UCB1).  DUCB runs with
+    ``gamma`` and SWUCB with ``tau``; when those are unset the experiment
+    harness derives them from the constants ``gamma_c``/``tau_c``, the
+    horizon and the breakpoint count.  The rest only matter for eps-greedy /
+    Thompson.
     """
 
     kind: str
     xi: float = 0.6
     gamma: float | None = None
+    gamma_c: float | None = None
     tau: int | None = None
+    tau_c: float | None = None
     eps_c: float = 5.0
     prior_a: float = 1.0
     prior_b: float = 1.0
@@ -62,7 +66,7 @@ class PolicyParams:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        for name in ("xi", "gamma", "eps_c", "prior_a", "prior_b"):
+        for name in ("xi", "gamma", "gamma_c", "tau_c", "eps_c", "prior_a", "prior_b"):
             v = getattr(self, name)
             if v is not None and not isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -72,8 +76,10 @@ class PolicyParams:
             raise ValueError("gamma must lie in (0, 1]")
         if self.tau is not None and (int(self.tau) != self.tau or self.tau < 1):
             raise ValueError("tau must be a positive integer")
-        if self.eps_c <= 0:
-            raise ValueError("eps_c must be positive")
+        for name in ("gamma_c", "tau_c", "eps_c"):
+            v = getattr(self, name)
+            if v is not None and v <= 0:
+                raise ValueError(f"{name} must be positive, got {v}")
         if self.prior_a <= 0 or self.prior_b <= 0:
             raise ValueError("Beta prior parameters must be positive")
 
@@ -138,11 +144,6 @@ class Ucb1Policy(Policy):
         self.count = [0.0] * K
         self.total = [0.0] * K
 
-    def reset(self) -> None:
-        self.t = 0
-        self.count = [0.0] * self.K
-        self.total = [0.0] * self.K
-
     def recommend(self, rng: Random) -> int:
         t = self.t
         if t < self.K:
@@ -192,13 +193,6 @@ class DucbPolicy(Policy):
         self.disc_sum = [0.0] * K
         self.raw_count = [0] * K  # undiscounted pulls N_t(a)
         self.disc_total = 0.0  # n_t(gamma)
-
-    def reset(self) -> None:
-        self.t = 0
-        self.disc_count = [0.0] * self.K
-        self.disc_sum = [0.0] * self.K
-        self.raw_count = [0] * self.K
-        self.disc_total = 0.0
 
     def recommend(self, rng: Random) -> int:
         if self.t < self.K:
@@ -264,13 +258,6 @@ class SwucbPolicy(Policy):
         self.win_sum = [0.0] * K
         self.raw_count = [0] * K
 
-    def reset(self) -> None:
-        self.t = 0
-        self.window.clear()
-        self.win_count = [0] * self.K
-        self.win_sum = [0.0] * self.K
-        self.raw_count = [0] * self.K
-
     def recommend(self, rng: Random) -> int:
         t = self.t
         if t < self.K:
@@ -330,11 +317,6 @@ class EpsGreedyPolicy(Policy):
         self.count = [0.0] * K
         self.total = [0.0] * K
 
-    def reset(self) -> None:
-        self.t = 0
-        self.count = [0.0] * self.K
-        self.total = [0.0] * self.K
-
     def recommend(self, rng: Random) -> int:
         t = self.t
         if t < self.K:
@@ -373,15 +355,8 @@ class ThompsonPolicy(Policy):
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
-        self.prior_a = params.prior_a
-        self.prior_b = params.prior_b
         self.alpha = [params.prior_a] * K
         self.beta = [params.prior_b] * K
-
-    def reset(self) -> None:
-        self.t = 0
-        self.alpha = [self.prior_a] * self.K
-        self.beta = [self.prior_b] * self.K
 
     def recommend(self, rng: Random) -> int:
         if self.t < self.K:

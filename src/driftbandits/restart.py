@@ -28,13 +28,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RestartParams:
-    """Batch size and the worst-case-regret constant used to derive it."""
+    """Batch size and the worst-case-regret constant used to derive it.
 
-    sigma: int
+    ``sigma=None`` means: derive the batch size from ``lam`` with
+    :func:`batch_size` (the experiment harness does so when it resolves a
+    config); :func:`run_restarting` needs it set.
+    """
+
+    sigma: int | None = None
     lam: float = 1.0
 
     def __post_init__(self):
-        if int(self.sigma) != self.sigma or self.sigma < 1:
+        if self.sigma is not None and (int(self.sigma) != self.sigma or self.sigma < 1):
             raise ValueError("sigma must be a positive integer")
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
@@ -84,6 +89,8 @@ def run_restarting(
     draw for draw, to the plain incentivized loop.  Pass ``trace`` to collect
     the per-step outcomes (their ``batch`` field records the batch index).
     """
+    if params.sigma is None:
+        raise ValueError("run_restarting needs sigma; derive it with batch_size")
     T = env.schedule.T
     K = env.schedule.K
     if totals is None:

@@ -29,15 +29,13 @@ from driftbandits.env import make_flip_env, make_sinusoidal_env, variation_of
 from driftbandits.harness import (
     ExperimentConfig,
     EnvSpec,
-    DriftSpec,
-    PolicySpec,
-    RestartSpec,
     run_experiment,
     scaling_probe,
     write_summary_json,
 )
 from driftbandits.incentive import DriftModel, incentive_step
 from driftbandits.policy import PolicyParams, make_policy
+from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -394,9 +392,9 @@ class TestCriterion10:
         config = ExperimentConfig(
             env=EnvSpec(kind="sinusoidal", T=600, budget=2.0, amplitude=0.3,
                         active_fraction=1.0),
-            policy=PolicySpec(kind="thompson"),
-            drift=DriftSpec("linear", DEFAULT_DRIFT_L),
-            restart=RestartSpec(sigma=None, lam=1.0),
+            policy=PolicyParams(kind="thompson"),
+            drift=DriftModel("linear", DEFAULT_DRIFT_L),
+            restart=RestartParams(sigma=None, lam=1.0),
             reps=24,
             base_seed=20240601,
         )
@@ -405,7 +403,7 @@ class TestCriterion10:
             path = tmp_path / f"summary_{idx}.json"
             write_summary_json(run_experiment(config, workers=workers), path)
             blobs.add(path.read_bytes())
-        flip = flip_config(1, PolicySpec(kind="ducb", gamma_c=15.0), T=400, reps=9)
+        flip = flip_config(1, PolicyParams(kind="ducb", gamma_c=15.0), T=400, reps=9)
         for idx, workers in enumerate((1, 3)):
             path = tmp_path / f"flip_{idx}.json"
             write_summary_json(run_experiment(flip, workers=workers), path)

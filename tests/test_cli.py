@@ -109,6 +109,30 @@ def test_workers_below_one_exit_2(tiny_config, tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_scaling_reps_below_one_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--family", "flip", "--horizons", "100,200,400",
+              "--reps", "0", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["run", "--set", "policy.gamma_c=0"], "gamma_c"),
+        (["run", "--set", "policy.gamma_c=-15"], "gamma_c"),
+        (["run", "--set", 'policy={"kind": "swucb", "tau_c": -1}'], "tau_c"),
+        (["sweep", "--grid", "15,-1"], "gamma_c"),
+    ],
+)
+def test_non_positive_tuning_constant_exits_2(tiny_config, tmp_path, capsys,
+                                              argv, name):
+    code = main([*argv, "--config", str(tiny_config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{name} must be positive" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

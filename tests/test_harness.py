@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 
@@ -8,11 +9,8 @@ import pytest
 from driftbandits.env import MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import (
     ConfigError,
-    DriftSpec,
     EnvSpec,
     ExperimentConfig,
-    PolicySpec,
-    RestartSpec,
     TRACE_HEADER,
     build_env,
     fit_loglog,
@@ -27,15 +25,16 @@ from driftbandits.harness import (
     write_summary_json,
 )
 from driftbandits.incentive import DriftModel, run_segment
-from driftbandits.policy import Ucb1Policy
+from driftbandits.policy import PolicyParams, Ucb1Policy
+from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng, rep_seed
 
 
 def small_config(**overrides):
     base = dict(
         env=EnvSpec(kind="flip", T=300, segments=2, hi=0.9, lo=0.1),
-        policy=PolicySpec(kind="ducb", gamma_c=15.0),
-        drift=DriftSpec("linear", 0.2),
+        policy=PolicyParams(kind="ducb", gamma_c=15.0),
+        drift=DriftModel("linear", 0.2),
         restart=None,
         reps=6,
         base_seed=42,
@@ -72,19 +71,56 @@ class TestTuning:
 
 class TestConfig:
     def test_round_trip_identity(self):
-        for config in (
+        configs = [
             small_config(),
             small_config(
                 env=EnvSpec(kind="sinusoidal", T=400, budget=2.0, amplitude=0.3,
                             active_fraction=0.5),
-                policy=PolicySpec(kind="thompson", prior_a=2.0, prior_b=3.0),
-                restart=RestartSpec(sigma=100, lam=2.0),
+                policy=PolicyParams(kind="thompson", prior_a=2.0, prior_b=3.0),
+                restart=RestartParams(sigma=100, lam=2.0),
             ),
-            small_config(policy=PolicySpec(kind="swucb", tau=25), trace=True),
+            small_config(policy=PolicyParams(kind="swucb", tau=25), trace=True),
+        ]
+        # every env kind x policy kind x drift kind x restart setting
+        for sections in itertools.product(
+            [{"kind": "flip", "T": 300, "segments": 3},
+             {"kind": "sinusoidal", "T": 400}],
+            [{"kind": "ucb1"}, {"kind": "ducb", "xi": 0.7, "gamma_c": 15.0},
+             {"kind": "swucb", "tau": 25}, {"kind": "eps_greedy", "eps_c": 2.0},
+             {"kind": "thompson", "prior_a": 2.0}],
+            [{"kind": "linear", "l": 0.3},
+             {"kind": "saturating", "l": 0.8, "cap": 0.05}],
+            [None, {"sigma": 100}, {"lam": 2.0}],
         ):
+            d = dict(zip(("env", "policy", "drift", "restart"), sections))
+            config = ExperimentConfig.from_dict(d)
+            written = config.to_dict()
+            for name, given in d.items():
+                for key, value in (given or {}).items():
+                    assert written[name][key] == value, (name, key)
+            configs.append(config)
+        for config in configs:
             again = ExperimentConfig.from_json(config.to_json())
             assert again == config
             assert again.to_json() == config.to_json()
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"kind": "ducb", "gamma_c": 0.0},
+            {"kind": "ducb", "gamma_c": -15.0},
+            {"kind": "swucb", "tau_c": 0.0},
+            {"kind": "swucb", "tau_c": -1.0},
+        ],
+    )
+    def test_non_positive_tuning_constant_named(self, policy):
+        d = small_config().to_dict()
+        d["policy"] = policy
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(d)
+        name = next(k for k in policy if k != "kind")
+        assert err.value.key == "policy"
+        assert f"{name} must be positive" in str(err.value)
 
     def test_reps_zero_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -92,11 +128,20 @@ class TestConfig:
         assert "reps" in str(err.value)
 
     def test_unknown_keys_named(self):
-        d = small_config().to_dict()
-        d["env"]["budget"] = 3.0  # not a flip-env key
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(d)
-        assert "env.budget" in str(err.value)
+        # each key is valid for another kind of the same section
+        for section, fields, foreign in (
+            ("env", {"kind": "flip", "T": 300}, "budget"),
+            ("policy", {"kind": "ucb1"}, "xi"),
+            ("policy", {"kind": "ducb", "gamma_c": 15.0}, "tau"),
+            ("policy", {"kind": "swucb", "tau_c": 1.0}, "gamma_c"),
+            ("policy", {"kind": "eps_greedy"}, "prior_a"),
+            ("policy", {"kind": "thompson"}, "eps_c"),
+        ):
+            d = small_config().to_dict()
+            d[section] = {**fields, foreign: 1.0}
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(d)
+            assert err.value.key == f"{section}.{foreign}"
 
     def test_type_mismatch_named(self):
         d = small_config().to_dict()
@@ -159,14 +204,14 @@ class TestConfig:
         config = small_config(
             env=EnvSpec(kind="sinusoidal", T=5000, budget=3.0, amplitude=0.3,
                         active_fraction=1.0),
-            policy=PolicySpec(kind="ucb1"),
-            restart=RestartSpec(sigma=None, lam=1.0),
+            policy=PolicyParams(kind="ucb1"),
+            restart=RestartParams(sigma=None, lam=1.0),
         )
         assert config.resolve().sigma == 361
 
     def test_resolve_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):
-            small_config(restart=RestartSpec(sigma=301, lam=1.0)).resolve()
+            small_config(restart=RestartParams(sigma=301, lam=1.0)).resolve()
 
 
 class TestReplication:
@@ -258,7 +303,7 @@ class TestExperiment:
     def test_realized_and_pseudo_regret_agree(self):
         config = small_config(
             env=EnvSpec(kind="flip", T=300, segments=2, hi=0.9, lo=0.1),
-            policy=PolicySpec(kind="ucb1"),
+            policy=PolicyParams(kind="ucb1"),
             reps=500,
         )
         s = run_experiment(config, workers=2)
@@ -274,8 +319,8 @@ class TestExperiment:
         def mean_regret(T):
             config = small_config(
                 env=EnvSpec(kind="flip", T=T, segments=1, hi=0.9, lo=0.1),
-                policy=PolicySpec(kind="ucb1"),
-                drift=DriftSpec("linear", 0.0),
+                policy=PolicyParams(kind="ucb1"),
+                drift=DriftModel("linear", 0.0),
                 reps=500,
             )
             return run_experiment(config, workers=2).mean["pseudo_regret"]
@@ -338,14 +383,14 @@ class TestSweep:
         assert padded.points[1].pseudo_regret > padded.points[0].pseudo_regret
 
     def test_swucb_sweeps_tau_constant(self):
-        config = small_config(policy=PolicySpec(kind="swucb", tau_c=1.0), reps=2)
+        config = small_config(policy=PolicyParams(kind="swucb", tau_c=1.0), reps=2)
         res = sweep(config, values=[0.9, 1.0])
         assert res.param == "tau_c"
         assert len(res.points) == 2
 
     def test_sweep_rejects_untunable_policies(self):
         with pytest.raises(ConfigError):
-            sweep(small_config(policy=PolicySpec(kind="ucb1")), values=[1.0])
+            sweep(small_config(policy=PolicyParams(kind="ucb1")), values=[1.0])
 
 
 class TestScaling:
@@ -413,7 +458,7 @@ class TestGapDiagnostic:
             lo, hi = j * sigma, min(T, (j + 1) * sigma)
             for a in range(K):
                 expect = sum(means[t].max() - means[t, a] for t in range(lo, hi)) / sigma
-            assert diag.delta[j, a] == pytest.approx(expect, abs=1e-12)
+                assert diag.delta[j, a] == pytest.approx(expect, abs=1e-12)
 
     def test_zero_near_ties_alpha_zero(self):
         means = np.zeros((50, 2))

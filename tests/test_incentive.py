@@ -6,7 +6,6 @@ import pytest
 from driftbandits.env import MeanSchedule, make_flip_env
 from driftbandits.incentive import (
     DriftModel,
-    drift_apply,
     incentive_step,
     run_incentivized,
     run_segment,
@@ -16,23 +15,23 @@ from driftbandits.policy import PolicyParams, make_policy
 
 class TestDriftApply:
     def test_linear(self):
-        assert drift_apply(DriftModel("linear", 0.5), 0.2) == pytest.approx(0.1)
+        assert DriftModel("linear", 0.5).apply(0.2) == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
         "model",
         [DriftModel("linear", 0.7), DriftModel("saturating", 1.0, cap=0.05)],
     )
     def test_zero_compensation_zero_drift(self, model):
-        assert drift_apply(model, 0.0) == 0.0
+        assert model.apply(0.0) == 0.0
 
     def test_saturating_caps(self):
         model = DriftModel("saturating", 1.0, cap=0.05)
-        assert drift_apply(model, 0.2) == pytest.approx(0.05)
-        assert drift_apply(model, 0.01) == pytest.approx(0.01)
+        assert model.apply(0.2) == pytest.approx(0.05)
+        assert model.apply(0.01) == pytest.approx(0.01)
 
     def test_negative_compensation_rejected(self):
         with pytest.raises(ValueError):
-            drift_apply(DriftModel("linear", 0.5), -0.1)
+            DriftModel("linear", 0.5).apply(-0.1)
 
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError):

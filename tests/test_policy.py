@@ -357,13 +357,3 @@ class TestStateDump:
         assert d["kind"] == kind
         assert d["t"] == 2
         assert len(d["per_arm"]) == 2
-
-    @pytest.mark.parametrize("kind", POLICY_KINDS)
-    def test_reset_restores_fresh_state(self, kind):
-        fresh = make_policy(params_for(kind), 2).state_json()
-        pol = make_policy(params_for(kind), 2)
-        rng = random.Random(0)
-        for arm in (1, 2, 1):
-            pol.observe(arm, 1.0, rng)
-        pol.reset()
-        assert pol.state_json() == fresh

@@ -73,6 +73,11 @@ class TestBatchBounds:
 
 
 class TestRunRestarting:
+    def test_unset_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            run_restarting(make_flip_env(10, 2, 0.9, 0.1), RestartParams(lam=1.0),
+                           PolicyParams(kind="ucb1"), DriftModel(), random.Random(0))
+
     def test_three_batches_three_roundrobins(self):
         env = make_flip_env(10, 2, 0.9, 0.1)
         trace = []
