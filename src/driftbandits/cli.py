@@ -255,10 +255,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = None
-    if args.grid:
-        values = [float(v) for v in args.grid.split(",") if v.strip()]
-    result = sweep(config, values=values, workers=args.workers)
+    result = sweep(config, values=args.grid, workers=args.workers)
     out = _outdir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -273,12 +270,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    horizons = [int(v) for v in args.horizons.split(",") if v.strip()]
-    if len(horizons) < 3:
+    if len(args.horizons) < 3:
         raise ConfigError("horizons", "need at least three horizons")
     report = scaling_probe(
         args.family,
-        horizons,
+        args.horizons,
         policy_kind=args.policy,
         reps=args.reps,
         base_seed=args.seed if args.seed is not None else DEFAULT_SEED,
@@ -362,6 +358,23 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _number_list(kind):
+    """Argparse type: a nonempty comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a value, got {text!r}")
+        return values
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftbandits",
@@ -385,14 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid the policy tuning constant")
     common(p_sweep)
-    p_sweep.add_argument("--grid", help="comma-separated grid values")
+    p_sweep.add_argument("--grid", type=_number_list(float),
+                         help="comma-separated grid values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scaling = sub.add_parser("scaling", help="log-log growth against T")
     common(p_scaling, config_required=False)
     p_scaling.add_argument("--family", choices=("flip", "sinusoidal"), required=True)
     p_scaling.add_argument("--policy", default="ducb", choices=POLICY_KINDS)
-    p_scaling.add_argument("--horizons", required=True,
+    p_scaling.add_argument("--horizons", required=True, type=_number_list(int),
                            help="comma-separated horizon list (>= 3 values)")
     p_scaling.add_argument("--reps", type=_positive_int, default=200)
     p_scaling.set_defaults(func=cmd_scaling)

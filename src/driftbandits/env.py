@@ -1,8 +1,9 @@
 """Non-stationary reward environments.
 
 An environment is a deterministic mean-reward schedule ``mu_t(a)`` over a
-1-indexed horizon ``t = 1..T`` and arms ``a = 1..K``, plus Bernoulli reward
-sampling.  Two generator families are provided: abrupt two-arm "flip"
+1-indexed horizon ``t = 1..T`` and arms ``a = 1..K``; the step engine
+(:mod:`driftbandits.incentive`) draws Bernoulli rewards from the schedule's
+plain-Python views.  Two generator families are provided: abrupt two-arm "flip"
 schedules (piecewise-constant means that swap at evenly spaced breakpoints)
 and continuously drifting sinusoidal schedules that spend a total-variation
 budget.  Environments are immutable after construction and safe to share
@@ -11,10 +12,8 @@ across concurrent replications.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from random import Random
 
 import numpy as np
 
@@ -22,15 +21,9 @@ __all__ = [
     "MeanSchedule",
     "AbruptEnvironment",
     "DriftingEnvironment",
-    "RewardSample",
     "make_flip_env",
     "make_sinusoidal_env",
-    "mean_at",
-    "optimal_arm_at",
-    "sample_reward",
     "variation_of",
-    "schedule_to_csv",
-    "schedule_from_csv",
 ]
 
 
@@ -56,14 +49,6 @@ class MeanSchedule:
         m.setflags(write=False)
         object.__setattr__(self, "means", m)
 
-    @classmethod
-    def constant(cls, arm_means, T: int) -> "MeanSchedule":
-        """Stationary schedule holding ``arm_means`` for ``T`` steps."""
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        row = np.asarray(arm_means, dtype=float)
-        return cls(np.tile(row, (T, 1)))
-
     @property
     def T(self) -> int:
         return self.means.shape[0]
@@ -88,14 +73,6 @@ class MeanSchedule:
         if b is None:
             b = tuple(self.means.max(axis=1).tolist())
             self._cache["best_mean"] = b
-        return b
-
-    @property
-    def best_arm(self) -> tuple:
-        b = self._cache.get("best_arm")
-        if b is None:
-            b = tuple((self.means.argmax(axis=1) + 1).tolist())
-            self._cache["best_arm"] = b
         return b
 
 
@@ -166,15 +143,6 @@ class DriftingEnvironment:
         return self.schedule.K
 
 
-@dataclass(frozen=True)
-class RewardSample:
-    """One realized Bernoulli reward."""
-
-    t: int
-    arm: int
-    value: float
-
-
 def make_flip_env(T: int, p: int, hi: float, lo: float) -> AbruptEnvironment:
     """Two-arm schedule whose means swap at ``floor(k*T/p)``, ``k=1..p-1``.
 
@@ -235,6 +203,8 @@ def make_sinusoidal_env(
         raise ValueError("budget must be nonnegative")
     if 2.0 * budget > T:
         raise ValueError("inadmissible budget: K * V_T must not exceed T")
+    if budget > 2.0 * amplitude * T:
+        raise ValueError("budget unreachable: an arm moves at most 2*amplitude per step")
 
     if budget == 0.0:
         means = np.full((T, 2), 0.5)
@@ -268,31 +238,6 @@ def _schedule_of(env) -> MeanSchedule:
     return env if isinstance(env, MeanSchedule) else env.schedule
 
 
-def mean_at(env, t: int, arm: int) -> float:
-    """``mu_t(arm)`` with 1-indexed ``t`` and ``arm``."""
-    sched = _schedule_of(env)
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"step {t} outside [1, {sched.T}]")
-    if not 1 <= arm <= sched.K:
-        raise ValueError(f"arm {arm} outside [1, {sched.K}]")
-    return float(sched.means[t - 1, arm - 1])
-
-
-def optimal_arm_at(env, t: int) -> int:
-    """Arm with the highest mean at step ``t``; ties go to the lowest index."""
-    sched = _schedule_of(env)
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"step {t} outside [1, {sched.T}]")
-    return sched.best_arm[t - 1]
-
-
-def sample_reward(env, t: int, arm: int, rng: Random) -> RewardSample:
-    """Draw the step-``t`` Bernoulli reward of ``arm``, consuming one uniform."""
-    mu = mean_at(env, t, arm)
-    value = 1.0 if rng.random() < mu else 0.0
-    return RewardSample(t, arm, value)
-
-
 def variation_of(env) -> float:
     """Total variation ``sum_t max_a |mu_t(a) - mu_{t+1}(a)|`` of a schedule.
 
@@ -310,37 +255,3 @@ def variation_of(env) -> float:
             v = math.fsum(step_sup.tolist())
         sched._cache["variation"] = v
     return v
-
-
-def schedule_to_csv(env, path) -> None:
-    """Write a schedule as ``t,arm,mean`` rows (1-indexed)."""
-    sched = _schedule_of(env)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "arm", "mean"])
-        for t in range(1, sched.T + 1):
-            row = sched.rows[t - 1]
-            for a in range(1, sched.K + 1):
-                writer.writerow([t, a, repr(row[a - 1])])
-
-
-def schedule_from_csv(path) -> MeanSchedule:
-    """Read a schedule written by :func:`schedule_to_csv` (exact round-trip)."""
-    cells: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "arm", "mean"]:
-            raise ValueError(f"unexpected schedule CSV header: {header}")
-        for t_s, a_s, m_s in reader:
-            cells[(int(t_s), int(a_s))] = float(m_s)
-    if not cells:
-        raise ValueError("empty schedule CSV")
-    T = max(t for t, _ in cells)
-    K = max(a for _, a in cells)
-    if len(cells) != T * K:
-        raise ValueError("schedule CSV has missing (t, arm) entries")
-    means = np.empty((T, K), dtype=float)
-    for (t, a), mu in cells.items():
-        means[t - 1, a - 1] = mu
-    return MeanSchedule(means)

@@ -267,6 +267,10 @@ class ExperimentConfig:
     base_seed: int
     trace: bool = False
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ConfigError("reps", f"must be >= 1, got {self.reps}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
@@ -287,8 +291,6 @@ class ExperimentConfig:
         drift = DriftModel() if drift is None else _parse_section("drift", drift)
         restart = None if restart is None else _parse_section("restart", restart)
         reps = _get(d, "", "reps", int, 1)
-        if reps < 1:
-            raise ConfigError("reps", "must be >= 1")
         base_seed = _get(d, "", "base_seed", int, 0)
         trace = _get(d, "", "trace", bool, False)
         return cls(env, policy, drift, restart, reps, base_seed, trace)
@@ -344,6 +346,11 @@ class ExperimentConfig:
         beta = self.env.beta_T
         gamma = tau = None
         p = self.policy
+        tuned = (p.kind == "ducb" and p.gamma is None) or (
+            p.kind == "swucb" and p.tau is None
+        )
+        if tuned and T < 2:
+            raise ConfigError("env.T", f"a tuning constant needs T >= 2, got {T}")
         if p.kind == "ducb":
             gamma = p.gamma if p.gamma is not None else tuned_gamma(beta, T, p.gamma_c)
         elif p.kind == "swucb":
@@ -404,8 +411,9 @@ def run_replication(
     envobj = build_env(config.env)
     rng = make_rng(config.base_seed, rep_index)
     totals = RunTotals()
-    recorder = CurveRecorder() if collect_curves else None
-    trace = [] if collect_trace else None
+    recorder = (
+        CurveRecorder(steps=collect_trace) if collect_curves or collect_trace else None
+    )
     if resolved.sigma is not None:
         run_restarting(
             envobj,
@@ -414,14 +422,13 @@ def run_replication(
             resolved.drift_model,
             rng,
             totals,
-            trace,
             recorder,
         )
     else:
         policy = make_policy(resolved.policy_params, resolved.K)
-        run_incentivized(envobj, policy, resolved.drift_model, rng, totals, trace, recorder)
+        run_incentivized(envobj, policy, resolved.drift_model, rng, totals, recorder)
     curves = None
-    if recorder is not None:
+    if collect_curves:
         curves = {
             "cum_pseudo_regret": np.asarray(recorder.cum_pseudo),
             "cum_realized_regret": np.asarray(recorder.cum_realized),
@@ -434,7 +441,7 @@ def run_replication(
         totals.compensation,
         totals.true_reward,
         curves,
-        trace,
+        recorder.steps if collect_trace else None,
     )
 
 
@@ -535,7 +542,6 @@ def run_experiment(
     curve_sum = curve_sumsq = None
     with ExitStack() as stack:
         if tracing:
-            envobj = build_env(config.env)
             writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
             writer.writerow(TRACE_HEADER.split(","))
         if tracing or pool == 1:
@@ -559,7 +565,7 @@ def run_experiment(
                     curve_sum[k] += res.curves[k]
                     curve_sumsq[k] += res.curves[k] ** 2
             if tracing:
-                _write_trace_rows(writer, envobj, rep, res.trace)
+                writer.writerows((rep, *step) for step in res.trace)
 
     mean = {name: float(np.mean(values[name])) for name in METRIC_NAMES}
     stderr = {name: _stderr(values[name]) for name in METRIC_NAMES}
@@ -583,33 +589,6 @@ def write_summary_json(summary: ExperimentSummary, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
         fh.write("\n")
-
-
-def _write_trace_rows(writer, envobj, rep: int, outcomes: list) -> None:
-    rows = envobj.schedule.rows
-    best = envobj.schedule.best_mean
-    cum_p = cum_r = cum_c = 0.0
-    for o in outcomes:
-        mu_star = best[o.t - 1]
-        cum_p += mu_star - rows[o.t - 1][o.recommended - 1]
-        cum_r += mu_star - o.true_reward
-        cum_c += o.compensation
-        writer.writerow(
-            [
-                rep,
-                o.t,
-                o.batch,
-                o.recommended,
-                o.greedy,
-                repr(o.compensation),
-                repr(o.drift),
-                repr(o.true_reward),
-                repr(o.observed_reward),
-                repr(cum_p),
-                repr(cum_r),
-                repr(cum_c),
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +618,12 @@ def sweep(config: ExperimentConfig, values=None, workers: int = 1) -> SweepResul
     """
     kind = config.policy.kind
     if kind == "ducb":
-        explicit, param, values = "gamma", "gamma_c", tuple(values or GAMMA_C_GRID)
+        explicit, param, grid = "gamma", "gamma_c", GAMMA_C_GRID
     elif kind == "swucb":
-        explicit, param, values = "tau", "tau_c", tuple(values or TAU_C_GRID)
+        explicit, param, grid = "tau", "tau_c", TAU_C_GRID
     else:
         raise ConfigError("policy.kind", f"sweep tunes ducb or swucb, not {kind!r}")
+    values = grid if values is None else tuple(values)
     if not values:
         raise ConfigError("sweep", "grid must be nonempty")
     trials = [  # every grid point is validated before the first one runs
@@ -704,8 +684,6 @@ def scaling_probe(
     horizons = sorted(int(t) for t in horizons)
     if len(horizons) < 3:
         raise ValueError("need at least three horizons")
-    if reps < 1:
-        raise ConfigError("reps", f"must be >= 1, got {reps}")
     regret_means, comp_means = [], []
     for T in horizons:
         if family == "flip":

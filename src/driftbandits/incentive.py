@@ -10,11 +10,10 @@ policy is updated with the biased ``r_t`` — neither party can separate the
 true reward from the drift.
 
 ``run_segment`` is the single entry point to this loop; it serves the
-one-step API, full runs, and the restarting scheduler, and it accumulates
-regret/compensation totals without allocating per-step records unless a
-trace sink is supplied.  It runs the built-in policies through fused
-per-policy kernels, which inline the policy and drift methods and give
-bit-identical results to the reference loop over those methods.
+one-step API, full runs, and the restarting scheduler.  It steps the
+built-in policies through fused per-policy kernels, which inline the policy
+and drift methods, accumulate regret/compensation totals, and write into a
+:class:`CurveRecorder` only when one is supplied.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, log, sqrt
 from random import Random
+from typing import NamedTuple
 
 from .policy import (
     DucbPolicy,
@@ -73,18 +73,24 @@ class DriftModel:
         return self.l * (chi if chi < self.cap else self.cap)
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
-    """Full record of one incentivized step."""
+class StepOutcome(NamedTuple):
+    """Full record of one incentivized step, in ``trace.csv`` column order.
+
+    The ``cum_*`` fields are the run's totals (the :class:`RunTotals` the
+    step adds to) after this step.
+    """
 
     t: int
+    batch: int
     recommended: int
     greedy: int
     compensation: float
     drift: float
     true_reward: float
     observed_reward: float
-    batch: int = 1
+    cum_pseudo_regret: float
+    cum_realized_regret: float
+    cum_comp: float
 
 
 class RunTotals:
@@ -100,15 +106,20 @@ class RunTotals:
 
 
 class CurveRecorder:
-    """Per-step cumulative curves (for plot data and trace export)."""
+    """The per-step sink: the run's cumulative totals after every step.
 
-    __slots__ = ("cum_pseudo", "cum_realized", "cum_comp", "cum_reward")
+    With ``steps=True`` it also keeps one :class:`StepOutcome` per step,
+    which is what a trace exports.
+    """
 
-    def __init__(self):
+    __slots__ = ("cum_pseudo", "cum_realized", "cum_comp", "cum_reward", "steps")
+
+    def __init__(self, steps: bool = False):
         self.cum_pseudo: list[float] = []
         self.cum_realized: list[float] = []
         self.cum_comp: list[float] = []
         self.cum_reward: list[float] = []
+        self.steps: list[StepOutcome] | None = [] if steps else None
 
 
 def run_segment(
@@ -119,7 +130,6 @@ def run_segment(
     model: DriftModel,
     rng: Random,
     totals: RunTotals | None = None,
-    trace: list | None = None,
     curves: CurveRecorder | None = None,
     batch: int = 1,
 ) -> RunTotals:
@@ -128,26 +138,23 @@ def run_segment(
     During the policy's forced round-robin no greedy arm exists, so no
     compensation is paid and no drift occurs.  Each step consumes the
     policy's recommendation draws (if any), exactly one uniform for the
-    Bernoulli reward, then any update draws, in that order.
+    Bernoulli reward, then any update draws, in that order.  ``batch`` is
+    the restart batch recorded in the step records.
 
-    The built-in policy classes (matched on their exact type, so a subclass
-    that overrides a method runs its own code) step through a fused kernel
-    unless a ``trace`` is requested; every other policy, a ``DriftModel``
-    subclass, and traced runs go through :func:`_reference_segment`.  Both
-    paths make the same draws and the same float operations in the same
-    order, so their results are bit-identical.
+    Only the built-in policy classes and ``DriftModel`` itself have a step
+    kernel; any other type, a subclass included, is refused with a
+    ``TypeError`` rather than run as its base class.
     """
+    kernel = _KERNELS.get(type(policy))
+    if kernel is None:
+        raise TypeError(f"no step kernel for policy type {type(policy).__name__}")
+    if type(model) is not DriftModel:
+        raise TypeError(f"no step kernel for drift type {type(model).__name__}")
     sched = env.schedule
     if not (1 <= t_start and t_end <= sched.T):
         raise ValueError(f"steps [{t_start}, {t_end}] outside horizon [1, {sched.T}]")
     if totals is None:
         totals = RunTotals()
-    kernel = _KERNELS.get(type(policy))
-    if trace is not None or kernel is None or type(model) is not DriftModel:
-        _reference_segment(
-            policy, sched, t_start, t_end, model, rng, totals, trace, curves, batch
-        )
-        return totals
     # Linear drift is the saturating form with an infinite cap: for every
     # chi that passes the check, ``chi if chi < inf else inf`` is ``chi``.
     cap = model.cap if model.kind == "saturating" else inf
@@ -155,89 +162,30 @@ def run_segment(
            totals.true_reward)
     acc = kernel(
         policy, sched.rows, sched.best_mean, t_start, t_end, model.l, cap, rng,
-        acc, curves,
+        acc, curves, batch,
     )
     (totals.pseudo_regret, totals.realized_regret, totals.compensation,
      totals.true_reward) = acc
     return totals
 
 
-def _reference_segment(
-    policy, sched, t_start, t_end, model, rng, totals, trace, curves, batch
-) -> None:
-    """The step loop through the public policy and drift methods.
-
-    This is the reference the fused kernels are tested against, the path
-    for trace requests, and the path for user-defined policies.
-    """
-    rows = sched.rows
-    best = sched.best_mean
-    K = policy.K
-    recommend = policy.recommend
-    observe = policy.observe
-    greedy_arm = policy.greedy_arm
-    estimate = policy.estimate
-    apply_drift = model.apply
-    uniform = rng.random
-
-    pseudo = totals.pseudo_regret
-    realized = totals.realized_regret
-    comp_sum = totals.compensation
-    reward_sum = totals.true_reward
-
-    for t in range(t_start, t_end + 1):
-        a = recommend(rng)
-        if policy.t >= K:
-            g = greedy_arm()
-            if a != g:
-                chi = estimate(g) - estimate(a)
-                delta = apply_drift(chi)
-            else:
-                chi = delta = 0.0
-        else:
-            g = a
-            chi = delta = 0.0
-        row = rows[t - 1]
-        mu_a = row[a - 1]
-        x = 1.0 if uniform() < mu_a else 0.0
-        r = x + delta
-        observe(a, r, rng)
-
-        mu_star = best[t - 1]
-        pseudo += mu_star - mu_a
-        realized += mu_star - x
-        comp_sum += chi
-        reward_sum += x
-        if curves is not None:
-            curves.cum_pseudo.append(pseudo)
-            curves.cum_realized.append(realized)
-            curves.cum_comp.append(comp_sum)
-            curves.cum_reward.append(reward_sum)
-        if trace is not None:
-            trace.append(StepOutcome(t, a, g, chi, delta, x, r, batch))
-
-    totals.pseudo_regret = pseudo
-    totals.realized_regret = realized
-    totals.compensation = comp_sum
-    totals.true_reward = reward_sum
-
-
 # ---------------------------------------------------------------------------
 # Fused step kernels.
 #
-# Each kernel runs ``_reference_segment``'s loop for one policy class with the
-# policy's ``recommend``/``greedy_arm``/``estimate``/``observe`` and
+# Each kernel is the step loop for one policy class with the policy's
+# ``recommend``/``greedy_arm``/``estimate``/``observe`` and
 # ``DriftModel.apply`` inlined: the statistics live in local variables (the
 # per-arm lists are the policy's own, updated in place; scalars are written
 # back on exit, also when a check raises), and one pass over the arms finds
 # both the index argmax (ties to the lowest arm, starting from -inf) and the
 # greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
 # Any edit here must keep the draw order and every float expression of the
-# reference; tests/test_kernels.py checks bit-identity.
+# loop over the public methods; tests/test_kernels.py checks bit-identity
+# against that loop.
 #
-# Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves),
-# where ``acc`` is (pseudo, realized, compensation, true_reward); returns the
-# updated ``acc``.
+# Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves,
+# batch), where ``acc`` is (pseudo, realized, compensation, true_reward);
+# returns the updated ``acc``.
 
 
 def _bad_compensation(chi: float) -> ValueError:
@@ -248,7 +196,7 @@ def _bad_reward(r: float) -> ValueError:
     return ValueError(f"reward must be finite and nonnegative, got {r}")
 
 
-def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
     K = pol.K
     count, total = pol.count, pol.total
     n_obs = pol.t
@@ -260,10 +208,11 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
         app_r = curves.cum_realized.append
         app_c = curves.cum_comp.append
         app_w = curves.cum_reward.append
+        steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
             if n_obs < K:
-                a = n_obs + 1
+                a = g = n_obs + 1
                 chi = delta = 0.0
             else:
                 two_log_t = 2.0 * log(n_obs)
@@ -307,12 +256,16 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
+                if steps is not None:
+                    steps.append(StepOutcome(
+                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                    ))
     finally:
         pol.t = n_obs
     return pseudo, realized, comp_sum, reward_sum
 
 
-def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
     K = pol.K
     gamma, xi = pol.gamma, pol.xi
     dc, ds, raw = pol.disc_count, pol.disc_sum, pol.raw_count
@@ -326,10 +279,11 @@ def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
         app_r = curves.cum_realized.append
         app_c = curves.cum_comp.append
         app_w = curves.cum_reward.append
+        steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
             if n_obs < K:
-                a = n_obs + 1
+                a = g = n_obs + 1
                 chi = delta = 0.0
             else:
                 xi_log_n = xi * log(n_disc)
@@ -379,13 +333,17 @@ def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
+                if steps is not None:
+                    steps.append(StepOutcome(
+                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                    ))
     finally:
         pol.t = n_obs
         pol.disc_total = n_disc
     return pseudo, realized, comp_sum, reward_sum
 
 
-def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
     K = pol.K
     tau, xi = pol.tau, pol.xi
     window = pol.window
@@ -400,10 +358,11 @@ def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
         app_r = curves.cum_realized.append
         app_c = curves.cum_comp.append
         app_w = curves.cum_reward.append
+        steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
             if n_obs < K:
-                a = n_obs + 1
+                a = g = n_obs + 1
                 chi = delta = 0.0
             else:
                 xi_log_w = xi * log(n_obs if n_obs < tau else tau)
@@ -454,12 +413,18 @@ def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
+                if steps is not None:
+                    steps.append(StepOutcome(
+                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                    ))
     finally:
         pol.t = n_obs
     return pseudo, realized, comp_sum, reward_sum
 
 
-def _eps_greedy_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+def _eps_greedy_segment(
+    pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch
+):
     K = pol.K
     eps_c = pol.eps_c
     count, total = pol.count, pol.total
@@ -473,10 +438,11 @@ def _eps_greedy_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curve
         app_r = curves.cum_realized.append
         app_c = curves.cum_comp.append
         app_w = curves.cum_reward.append
+        steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
             if n_obs < K:
-                a = n_obs + 1
+                a = g = n_obs + 1
                 chi = delta = 0.0
             else:
                 eps = eps_c * K / n_obs
@@ -518,12 +484,16 @@ def _eps_greedy_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curve
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
+                if steps is not None:
+                    steps.append(StepOutcome(
+                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                    ))
     finally:
         pol.t = n_obs
     return pseudo, realized, comp_sum, reward_sum
 
 
-def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves):
+def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
     K = pol.K
     alpha, beta = pol.alpha, pol.beta
     n_obs = pol.t
@@ -536,10 +506,11 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves)
         app_r = curves.cum_realized.append
         app_c = curves.cum_comp.append
         app_w = curves.cum_reward.append
+        steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
             if n_obs < K:
-                a = n_obs + 1
+                a = g = n_obs + 1
                 chi = delta = 0.0
             else:
                 g, ge = 1, alpha[0] / (alpha[0] + beta[0])
@@ -580,6 +551,10 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves)
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
+                if steps is not None:
+                    steps.append(StepOutcome(
+                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                    ))
     finally:
         pol.t = n_obs
     return pseudo, realized, comp_sum, reward_sum
@@ -598,9 +573,9 @@ def incentive_step(
     policy: Policy, env, t: int, model: DriftModel, rng: Random
 ) -> StepOutcome:
     """Execute the single incentivized step ``t``, updating ``policy`` in place."""
-    sink: list[StepOutcome] = []
-    run_segment(policy, env, t, t, model, rng, trace=sink)
-    return sink[0]
+    recorder = CurveRecorder(steps=True)
+    run_segment(policy, env, t, t, model, rng, curves=recorder)
+    return recorder.steps[0]
 
 
 def run_incentivized(
@@ -609,10 +584,7 @@ def run_incentivized(
     model: DriftModel,
     rng: Random,
     totals: RunTotals | None = None,
-    trace: list | None = None,
     curves: CurveRecorder | None = None,
 ) -> RunTotals:
     """Full-horizon incentivized run (no restarts)."""
-    return run_segment(
-        policy, env, 1, env.schedule.T, model, rng, totals, trace, curves
-    )
+    return run_segment(policy, env, 1, env.schedule.T, model, rng, totals, curves)

@@ -80,8 +80,11 @@ class PolicyParams:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if self.prior_a <= 0 or self.prior_b <= 0:
-            raise ValueError("Beta prior parameters must be positive")
+        for name in ("prior_a", "prior_b"):
+            v = getattr(self, name)
+            # betavariate never returns once 2 * shape overflows to inf
+            if not 0 < v <= 1e300:
+                raise ValueError(f"{name} must lie in (0, 1e300], got {v}")
 
 
 class Policy:

@@ -80,14 +80,13 @@ def run_restarting(
     model: DriftModel,
     rng: Random,
     totals: RunTotals | None = None,
-    trace: list | None = None,
     curves: CurveRecorder | None = None,
 ) -> RunTotals:
     """Incentivized run with a policy restart at every batch boundary.
 
     With ``sigma >= T`` there is a single batch and the run is identical,
-    draw for draw, to the plain incentivized loop.  Pass ``trace`` to collect
-    the per-step outcomes (their ``batch`` field records the batch index).
+    draw for draw, to the plain incentivized loop.  The step records of a
+    ``CurveRecorder(steps=True)`` carry the batch index in ``batch``.
     """
     if params.sigma is None:
         raise ValueError("run_restarting needs sigma; derive it with batch_size")
@@ -97,7 +96,5 @@ def run_restarting(
         totals = RunTotals()
     for j, (start, stop) in enumerate(batch_bounds(T, params.sigma), start=1):
         policy = make_policy(policy_params, K)
-        run_segment(
-            policy, env, start, stop, model, rng, totals, trace, curves, batch=j
-        )
+        run_segment(policy, env, start, stop, model, rng, totals, curves, batch=j)
     return totals

@@ -133,6 +133,32 @@ def test_non_positive_tuning_constant_exits_2(tiny_config, tmp_path, capsys,
     assert f"{name} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ['{"kind": "ducb", "gamma_c": 15}',
+                                    '{"kind": "swucb", "tau_c": 1.0}'])
+def test_short_horizon_with_tuning_constant_exits_2(tmp_path, capsys, policy):
+    path = tmp_path / "config.json"
+    path.write_text('{"env": {"kind": "flip", "T": 1, "segments": 1}, '
+                    f'"policy": {policy}}}')
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "env.T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scaling", "--family", "flip", "--horizons", "100,abc,300"], "--horizons"),
+        (["sweep", "--config", "unused.json", "--grid", "10,abc"], "--grid"),
+        (["sweep", "--config", "unused.json", "--grid", ","], "--grid"),
+    ],
+)
+def test_malformed_number_lists_exit_2(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -11,13 +11,10 @@ from driftbandits.env import (
     MeanSchedule,
     make_flip_env,
     make_sinusoidal_env,
-    mean_at,
-    optimal_arm_at,
-    sample_reward,
-    schedule_from_csv,
-    schedule_to_csv,
     variation_of,
 )
+from driftbandits.incentive import CurveRecorder, DriftModel, run_segment
+from driftbandits.policy import PolicyParams, make_policy
 
 
 class TestFlipEnv:
@@ -35,7 +32,7 @@ class TestFlipEnv:
     def test_t12_p4_pattern(self):
         env = make_flip_env(12, 4, 0.9, 0.1)
         assert env.breakpoints == (3, 6, 9)
-        arm1 = [mean_at(env, t, 1) for t in range(1, 13)]
+        arm1 = [row[0] for row in env.schedule.rows]
         assert arm1 == [0.9] * 3 + [0.1] * 3 + [0.9] * 3 + [0.1] * 3
 
     @pytest.mark.parametrize(
@@ -91,6 +88,13 @@ class TestSinusoidalEnv:
         with pytest.raises(ValueError):
             make_sinusoidal_env(5000, 0.2, 0.3, 1.0)
 
+    def test_rejects_unspendable_budget(self):
+        # an arm moves at most 2 * amplitude per step; a denormal amplitude
+        # once overflowed the half-cycle count
+        for amplitude in (1e-3, 5e-324):
+            with pytest.raises(ValueError, match="unreachable"):
+                make_sinusoidal_env(60, 3.0, amplitude, 1.0)
+
     def test_rejects_inadmissible_budget(self):
         with pytest.raises(ValueError):
             make_sinusoidal_env(10, 8.0, 0.3, 1.0)
@@ -112,62 +116,50 @@ class TestSinusoidalEnv:
 class TestQueries:
     def test_mean_at_flip_start(self):
         env = make_flip_env(5000, 3, 0.99, 0.01)
-        assert mean_at(env, 1, 1) == 0.99
-        assert mean_at(env, 1, 2) == 0.01
+        assert env.schedule.rows[0] == (0.99, 0.01)
 
     def test_optimal_arm_flips_after_breakpoint(self):
         env = make_flip_env(5000, 3, 0.99, 0.01)
-        assert optimal_arm_at(env, 1666) == 1
-        assert optimal_arm_at(env, 1667) == 2
+        assert env.schedule.rows[1666 - 1] == (0.99, 0.01)
+        assert env.schedule.rows[1667 - 1] == (0.01, 0.99)
 
-    def test_tie_breaks_to_lowest_arm(self):
-        sched = MeanSchedule.constant([0.5, 0.5], 10)
-        assert optimal_arm_at(sched, 1) == 1
 
-    def test_out_of_range_rejected(self):
-        env = make_flip_env(100, 2, 0.9, 0.1)
-        for t, arm in [(0, 1), (101, 1), (1, 0), (1, 3)]:
-            with pytest.raises(ValueError):
-                mean_at(env, t, arm)
-        with pytest.raises(ValueError):
-            optimal_arm_at(env, 0)
-
-    def test_argmax_invariant_under_common_shift(self):
-        base = np.random.default_rng(3).uniform(0.05, 0.6, size=(50, 3))
-        shifted = base + 0.35
-        s1, s2 = MeanSchedule(base), MeanSchedule(shifted)
-        for t in range(1, 51):
-            assert optimal_arm_at(s1, t) == optimal_arm_at(s2, t)
+def step_records(sched, seed):
+    """Run eps-greedy over the schedule; the step records of every draw."""
+    env = type("E", (), {"schedule": sched})()
+    curves = CurveRecorder(steps=True)
+    policy = make_policy(PolicyParams(kind="eps_greedy"), sched.K)
+    run_segment(policy, env, 1, sched.T, DriftModel(), random.Random(seed),
+                curves=curves)
+    return curves.steps
 
 
 class TestSampling:
+    """The Bernoulli reward the step engine draws from a schedule."""
+
     def test_degenerate_probabilities(self):
-        rng = random.Random(0)
-        certain = MeanSchedule.constant([1.0, 0.0], 10)
-        for t in range(1, 11):
-            assert sample_reward(certain, t, 1, rng).value == 1.0
-            assert sample_reward(certain, t, 2, rng).value == 0.0
+        sched = MeanSchedule(np.tile([1.0, 0.0], (200, 1)))
+        steps = step_records(sched, 0)
+        assert {o.recommended for o in steps} == {1, 2}
+        for o in steps:
+            assert o.true_reward == (1.0 if o.recommended == 1 else 0.0)
 
     def test_monte_carlo_mean_half(self):
         # oracle: Bernoulli(0.5) empirical mean over 1e5 draws
-        sched = MeanSchedule.constant([0.5, 0.5], 1)
-        rng = random.Random(123)
         n = 100_000
-        total = sum(sample_reward(sched, 1, 1, rng).value for _ in range(n))
-        assert abs(total / n - 0.5) < 0.01
+        steps = step_records(MeanSchedule(np.full((n, 2), 0.5)), 123)
+        assert abs(sum(o.true_reward for o in steps) / n - 0.5) < 0.01
 
     def test_bit_exact_determinism(self):
-        sched = MeanSchedule.constant([0.37, 0.61], 100)
-        draws1 = [sample_reward(sched, t, 1 + t % 2, random.Random(t)).value
-                  for t in range(1, 101)]
-        draws2 = [sample_reward(sched, t, 1 + t % 2, random.Random(t)).value
-                  for t in range(1, 101)]
+        sched = MeanSchedule(np.tile([0.37, 0.61], (100, 1)))
+        draws1 = [o.true_reward for o in step_records(sched, 7)]
+        draws2 = [o.true_reward for o in step_records(sched, 7)]
         assert draws1 == draws2
 
 
 class TestVariation:
     def test_constant_schedule(self):
-        assert variation_of(MeanSchedule.constant([0.2, 0.8], 50)) == 0.0
+        assert variation_of(MeanSchedule(np.tile([0.2, 0.8], (50, 1)))) == 0.0
 
     def test_single_jump(self):
         means = np.full((10, 2), 0.4)
@@ -186,22 +178,6 @@ class TestVariation:
             env = make_sinusoidal_env(2000, budget, 0.25, 1.0)
             assert isinstance(env, DriftingEnvironment)
             assert variation_of(env) <= env.budget
-
-
-class TestScheduleCsv:
-    def test_round_trip_exact(self, tmp_path):
-        env = make_sinusoidal_env(300, 2.0, 0.3, 0.5)
-        path = tmp_path / "sched.csv"
-        schedule_to_csv(env, path)
-        back = schedule_from_csv(path)
-        assert back.T == env.schedule.T and back.K == env.schedule.K
-        assert np.array_equal(back.means, env.schedule.means)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,1,0.5\n")
-        with pytest.raises(ValueError):
-            schedule_from_csv(path)
 
 
 def test_means_are_read_only():

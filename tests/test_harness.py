@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import itertools
 import json
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftbandits.env import MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import (
+    _SCHEMA,
     ConfigError,
     EnvSpec,
     ExperimentConfig,
@@ -41,6 +46,15 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def ucb1_pinned_to(arm):
+    """A two-arm UCB1 whose statistics make it recommend ``arm`` for a long time."""
+    policy = Ucb1Policy(2)
+    policy.count = [1e12, 1e12]
+    policy.total = [1e12 if a == arm else 0.0 for a in (1, 2)]
+    policy.t = 2 * 10**12
+    return policy
 
 
 class TestTuning:
@@ -126,6 +140,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(small_config().to_dict() | {"reps": 0})
         assert "reps" in str(err.value)
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_below_one_refused_however_built(self, reps):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(small_config(), reps=reps)
+        assert err.value.key == "reps"
+        with pytest.raises(ConfigError) as err:
+            scaling_probe("flip", [100, 200, 400], reps=reps)
+        assert err.value.key == "reps"
+
+    @pytest.mark.parametrize("policy", [{"kind": "ducb", "gamma_c": 15},
+                                        {"kind": "swucb", "tau_c": 1.0}])
+    def test_short_horizon_with_tuning_constant_named(self, policy):
+        config = ExperimentConfig.from_dict(
+            {"env": {"kind": "flip", "T": 1, "segments": 1}, "policy": policy}
+        )
+        with pytest.raises(ConfigError) as err:
+            config.resolve()
+        assert err.value.key == "env.T"
 
     def test_unknown_keys_named(self):
         # each key is valid for another kind of the same section
@@ -233,25 +266,21 @@ class TestReplication:
         assert a.realized_regret != b.realized_regret
 
     def test_oracle_policy_has_zero_pseudo_regret(self):
-        class OraclePolicy(Ucb1Policy):
-            def recommend(self, rng):
-                return 1  # arm 1 is optimal throughout the stationary env
-
+        # arm 1 is optimal throughout the stationary env, and this UCB1 state
+        # (mean 1 vs 0 over 1e12 pulls each) recommends it at every step
+        policy = ucb1_pinned_to(1)
         env = build_env(EnvSpec(kind="flip", T=200, segments=1, hi=0.9, lo=0.1))
         totals = run_segment(
-            OraclePolicy(2), env, 1, 200, DriftModel("linear", 0.5), make_rng(0, 0)
+            policy, env, 1, 200, DriftModel("linear", 0.5), make_rng(0, 0)
         )
+        assert policy.count[1] == 1e12  # arm 2 was never recommended
         assert totals.pseudo_regret == 0.0
 
     def test_single_bad_pull_costs_the_gap(self):
-        class WorstPolicy(Ucb1Policy):
-            def recommend(self, rng):
-                return 2
-
+        policy = ucb1_pinned_to(2)
         env = build_env(EnvSpec(kind="flip", T=10, segments=2, hi=0.99, lo=0.01))
-        totals = run_segment(
-            WorstPolicy(2), env, 1, 1, DriftModel(), make_rng(0, 0)
-        )
+        totals = run_segment(policy, env, 1, 1, DriftModel(), make_rng(0, 0))
+        assert policy.count[1] == 1e12 + 1  # arm 2 was recommended
         assert totals.pseudo_regret == pytest.approx(0.98)
 
     def test_curves_are_cumulative_and_monotone(self):
@@ -369,6 +398,10 @@ class TestPoolPlan:
 
 
 class TestSweep:
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError):
+            sweep(small_config(reps=2), values=[])
+
     def test_single_point_grid_returns_it(self):
         res = sweep(small_config(reps=2), values=[15.0])
         assert res.best.value == 15.0
@@ -434,7 +467,7 @@ class TestGapDiagnostic:
         assert diag.alpha == pytest.approx(math.log(5000) / math.log(5000))
 
     def test_identical_arms_tie_everywhere(self):
-        sched = MeanSchedule.constant([0.5, 0.5], 100)
+        sched = MeanSchedule(np.full((100, 2), 0.5))
         diag = gap_diagnostic(sched, sigma=10, epsilon=0.0)
         assert diag.m_hat == 0.0
         assert diag.near_tie_count == 100 * 2 * 1
@@ -467,3 +500,55 @@ class TestGapDiagnostic:
         diag = gap_diagnostic(MeanSchedule(means), sigma=10, epsilon=-0.0)
         # only the (worse, better) ordered pairs satisfy the signed condition
         assert diag.near_tie_count == 50
+
+
+# Config dicts from the schema table: every section and kind, with keys left
+# out or set to None, zero, negative, tiny, huge or ordinary numbers.
+NUMBERS = st.one_of(
+    st.sampled_from([None, 0, 0.0, -1, -0.5, 5e-324, 1e-300, 1e300, 1e308]),
+    st.integers(-3, 70),
+    st.floats(-2.0, 1e6),
+)
+
+
+def config_section(name, **fixed):
+    kinds = _SCHEMA[name][2]
+
+    def build(kind):
+        keys = {k: fixed.get(k, NUMBERS) for k in kinds[kind]}
+        head = {} if kind is None else {"kind": st.just(kind)}
+        return st.fixed_dictionaries(head, optional=keys)
+
+    return st.sampled_from(list(kinds)).flatmap(build)
+
+
+CONFIG_DICTS = st.fixed_dictionaries(
+    {
+        "env": config_section("env", T=st.integers(-1, 60)),
+        "policy": config_section("policy"),
+        "reps": st.integers(-1, 3),
+    },
+    optional={
+        "drift": st.none() | config_section("drift"),
+        "restart": st.none() | config_section("restart"),
+        "base_seed": st.integers(0, 2**64 - 1),
+    },
+)
+
+
+@given(CONFIG_DICTS)
+@example({"env": {"kind": "flip", "T": 1, "segments": 1}, "reps": 1,
+          "policy": {"kind": "ducb", "gamma_c": 15}})
+@example({"env": {"kind": "flip", "T": 1, "segments": 1}, "reps": 1,
+          "policy": {"kind": "swucb", "tau_c": 15}})
+@example({"env": {"kind": "sinusoidal", "T": 6, "amplitude": 5e-324}, "reps": 1,
+          "policy": {"kind": "ucb1"}})
+@example({"env": {"kind": "flip", "T": 20}, "reps": 1,
+          "policy": {"kind": "thompson", "prior_a": 1e308}})
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_config_dict_is_refused_or_runs_finite(d):
+    try:
+        summary = run_experiment(ExperimentConfig.from_dict(d))
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in summary.mean.values())

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from driftbandits.env import MeanSchedule, make_flip_env
 from driftbandits.incentive import (
+    CurveRecorder,
     DriftModel,
     incentive_step,
     run_incentivized,
@@ -59,7 +61,7 @@ class TestDriftApply:
 
 
 def certain_env(T=10):
-    return type("E", (), {"schedule": MeanSchedule.constant([1.0, 1.0], T)})()
+    return type("E", (), {"schedule": MeanSchedule(np.ones((T, 2)))})()
 
 
 class TestIncentiveStep:
@@ -117,8 +119,9 @@ class TestRunInvariants:
         params = {"ducb": {"gamma": 0.99}, "swucb": {"tau": 60}}.get(kind, {})
         pol = make_policy(PolicyParams(kind=kind, **params), 2)
         model = DriftModel("linear", 0.3)
-        trace = []
-        run_incentivized(env, pol, model, random.Random(5), trace=trace)
+        curves = CurveRecorder(steps=True)
+        run_incentivized(env, pol, model, random.Random(5), curves=curves)
+        trace = curves.steps
         assert len(trace) == 800
         for o in trace:
             assert o.compensation >= 0.0
@@ -130,18 +133,22 @@ class TestRunInvariants:
     def test_zero_lipschitz_means_unbiased_feedback(self):
         env = make_flip_env(1000, 3, 0.95, 0.05)
         pol = make_policy(PolicyParams(kind="ducb", gamma=0.995), 2)
-        trace = []
-        run_incentivized(env, pol, DriftModel("linear", 0.0), random.Random(11), trace=trace)
+        curves = CurveRecorder(steps=True)
+        run_incentivized(
+            env, pol, DriftModel("linear", 0.0), random.Random(11), curves=curves
+        )
+        trace = curves.steps
         assert all(o.observed_reward == o.true_reward for o in trace)
         assert any(o.compensation > 0 for o in trace)  # payments still occur
 
     def test_totals_match_trace_sums(self):
         env = make_flip_env(500, 2, 0.9, 0.1)
         pol = make_policy(PolicyParams(kind="swucb", tau=40), 2)
-        trace = []
+        curves = CurveRecorder(steps=True)
         totals = run_incentivized(
-            env, pol, DriftModel("linear", 0.2), random.Random(3), trace=trace
+            env, pol, DriftModel("linear", 0.2), random.Random(3), curves=curves
         )
+        trace = curves.steps
         assert totals.compensation == pytest.approx(
             sum(o.compensation for o in trace), abs=1e-12
         )

@@ -1,8 +1,9 @@
 """Fused step kernels against the reference step loop.
 
-``run_segment`` steps the built-in policies through fused kernels unless a
-trace is requested; passing ``trace=[]`` forces the reference loop.  The two
-must agree bit for bit: totals, curves and the policy state.
+``run_segment`` steps the built-in policies through fused kernels, which
+inline the policy and drift methods; ``reference_loop.reference_segment``
+calls those methods once per step.  The two must agree bit for bit: totals,
+curves, step records, the policy state and the random draws consumed.
 """
 
 import math
@@ -13,8 +14,9 @@ import pytest
 from driftbandits.env import make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import CurveRecorder, DriftModel, RunTotals, run_segment
-from driftbandits.policy import POLICY_KINDS, PolicyParams, make_policy
+from driftbandits.policy import POLICY_KINDS, PolicyParams, Ucb1Policy, make_policy
 from driftbandits.restart import batch_bounds, batch_size
+from reference_loop import reference_segment
 
 T = 3000
 
@@ -41,16 +43,15 @@ MODELS = {
 }
 
 
-def run(kind, env, sigma, model, seed, reference, with_curves):
-    """Run every restart batch through ``run_segment``; per-batch policy states."""
+def run(kind, env, sigma, model, seed, segment, mode):
+    """Run every restart batch through ``segment``; per-batch policy states."""
     rng = random.Random(seed)
     totals = RunTotals()
-    curves = CurveRecorder() if with_curves else None
+    curves = None if mode == "summary" else CurveRecorder(steps=mode == "steps")
     states = []
-    for start, stop in batch_bounds(env.schedule.T, sigma):
+    for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
         policy = make_policy(params_for(kind), env.schedule.K)
-        trace = [] if reference else None
-        run_segment(policy, env, start, stop, model, rng, totals, trace, curves)
+        segment(policy, env, start, stop, model, rng, totals, curves, j)
         states.append(policy.state_json())
     return totals, curves, states, rng.random()
 
@@ -60,21 +61,26 @@ def as_tuple(totals):
             totals.true_reward)
 
 
-@pytest.mark.parametrize("with_curves", [False, True], ids=["summary", "curves"])
+@pytest.mark.parametrize("mode", ["summary", "curves", "steps"])
 @pytest.mark.parametrize("model_name", list(MODELS))
 @pytest.mark.parametrize("env_name", list(ENVS))
 @pytest.mark.parametrize("kind", POLICY_KINDS)
-def test_kernel_matches_reference(kind, env_name, model_name, with_curves):
+def test_kernel_matches_reference(kind, env_name, model_name, mode):
     env, sigma = ENVS[env_name]
     model = MODELS[model_name]
-    fast = run(kind, env, sigma, model, 17, False, with_curves)
-    ref = run(kind, env, sigma, model, 17, True, with_curves)
+    fast = run(kind, env, sigma, model, 17, run_segment, mode)
+    ref = run(kind, env, sigma, model, 17, reference_segment, mode)
     assert as_tuple(fast[0]) == as_tuple(ref[0])
     assert fast[2] == ref[2]  # policy state after every batch
     assert fast[3] == ref[3]  # same number of draws consumed
-    if with_curves:
+    if mode != "summary":
         for name in ("cum_pseudo", "cum_realized", "cum_comp", "cum_reward"):
             assert getattr(fast[1], name) == getattr(ref[1], name)
+        assert fast[1].steps == ref[1].steps
+    if mode == "steps":
+        firsts = fast[1].steps[::sigma]  # the first step of every batch
+        assert [o.batch for o in firsts] == list(range(1, len(firsts) + 1))
+        assert len(fast[1].steps) == T
     assert as_tuple(fast[0])[2] > 0.0  # compensation was paid
 
 
@@ -90,10 +96,10 @@ def test_kernel_resumes_a_reference_run(kind):
         totals = RunTotals()
         curves = CurveRecorder()
         if switch is None:
-            run_segment(policy, env, 1, T, model, rng, totals, [], curves)
+            reference_segment(policy, env, 1, T, model, rng, totals, curves)
         else:
-            run_segment(policy, env, 1, k, model, rng, totals, [], curves)
-            run_segment(policy, env, k + 1, T, model, rng, totals, None, curves)
+            reference_segment(policy, env, 1, k, model, rng, totals, curves)
+            run_segment(policy, env, k + 1, T, model, rng, totals, curves)
         results.append(
             (as_tuple(totals), curves.cum_comp, policy.state_json(), rng.random())
         )
@@ -121,24 +127,34 @@ def ucb1_in_state(count, total):
 def test_kernel_raises_what_the_reference_raises(count, total, l, message):
     env, _ = ENVS["flip_b3"]
     outcomes = []
-    for trace in (None, []):
+    for segment in (run_segment, reference_segment):
         policy = ucb1_in_state(count, total)
         rng = random.Random(9)
         with pytest.raises(ValueError, match=message) as info:
-            run_segment(policy, env, 1, T, DriftModel("linear", l), rng, trace=trace)
+            segment(policy, env, 1, T, DriftModel("linear", l), rng)
         outcomes.append((str(info.value), policy.state_json(), rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
-def test_subclassed_drift_model_is_honoured():
+def test_types_without_a_kernel_are_refused():
+    class QuietUcb1(Ucb1Policy):
+        def recommend(self, rng):
+            return 1
+
     class NoDrift(DriftModel):
         def apply(self, chi):
-            super().apply(chi)
             return 0.0
 
     env, _ = ENVS["flip_b3"]
-    totals = []
-    for model in (NoDrift("linear", 0.9), DriftModel("linear", 0.0)):
-        policy = make_policy(params_for("ucb1"), 2)
-        totals.append(as_tuple(run_segment(policy, env, 1, T, model, random.Random(1))))
-    assert totals[0] == totals[1]
+    ucb1 = make_policy(params_for("ucb1"), 2)
+    cases = [
+        (QuietUcb1(2), MODELS["linear"], "policy type QuietUcb1"),
+        (ucb1, NoDrift("linear", 0.4), "drift type NoDrift"),
+    ]
+    for policy, model, message in cases:
+        fresh = policy.state_json()
+        rng = random.Random(1)
+        with pytest.raises(TypeError, match=message):
+            run_segment(policy, env, 1, T, model, rng)
+        assert policy.state_json() == fresh  # refused before any step
+        assert rng.random() == random.Random(1).random()

@@ -68,7 +68,7 @@ class TestParamValidation:
         [{"gamma": 0.0}, {"gamma": 1.5}, {"tau": 0}, {"tau": 2.5},
          {"eps_c": 0.0}, {"prior_a": 0.0}, {"prior_b": -1.0},
          {"xi": math.nan}, {"xi": math.inf}, {"eps_c": math.nan},
-         {"prior_a": math.inf}, {"prior_b": math.inf}],
+         {"prior_a": math.inf}, {"prior_b": math.inf}, {"prior_a": 1e308}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from driftbandits.env import make_flip_env, make_sinusoidal_env
-from driftbandits.incentive import DriftModel, run_incentivized
+from driftbandits.incentive import CurveRecorder, DriftModel, run_incentivized
 from driftbandits.policy import PolicyParams, make_policy
 from driftbandits.restart import (
     RestartParams,
@@ -80,15 +80,16 @@ class TestRunRestarting:
 
     def test_three_batches_three_roundrobins(self):
         env = make_flip_env(10, 2, 0.9, 0.1)
-        trace = []
+        curves = CurveRecorder(steps=True)
         run_restarting(
             env,
             RestartParams(sigma=4),
             PolicyParams(kind="ucb1"),
             DriftModel("linear", 0.1),
             random.Random(0),
-            trace=trace,
+            curves=curves,
         )
+        trace = curves.steps
         assert [o.batch for o in trace] == [1] * 4 + [2] * 4 + [3] * 2
         # each batch restarts the forced round-robin
         for start in (0, 4, 8):
@@ -99,36 +100,31 @@ class TestRunRestarting:
         model = DriftModel("linear", 0.2)
         params = PolicyParams(kind="swucb", tau=60)
 
-        trace_restart = []
+        curves_restart = CurveRecorder(steps=True)
         totals_restart = run_restarting(
             env, RestartParams(sigma=600), params, model,
-            random.Random(77), trace=trace_restart,
+            random.Random(77), curves=curves_restart,
         )
-        trace_plain = []
+        curves_plain = CurveRecorder(steps=True)
         totals_plain = run_incentivized(
-            env, make_policy(params, 2), model, random.Random(77), trace=trace_plain
+            env, make_policy(params, 2), model, random.Random(77), curves=curves_plain
         )
         assert totals_restart.pseudo_regret == totals_plain.pseudo_regret
         assert totals_restart.compensation == totals_plain.compensation
-        assert [
-            (o.t, o.recommended, o.greedy, o.compensation, o.observed_reward)
-            for o in trace_restart
-        ] == [
-            (o.t, o.recommended, o.greedy, o.compensation, o.observed_reward)
-            for o in trace_plain
-        ]
+        assert curves_restart.steps == curves_plain.steps  # every field, batch 1
 
     def test_fourteen_batches_at_reference_sigma(self):
         env = make_sinusoidal_env(5000, 3.0, 0.3, 1.0)
-        trace = []
+        curves = CurveRecorder(steps=True)
         run_restarting(
             env,
             RestartParams(sigma=361),
             PolicyParams(kind="ucb1"),
             DriftModel("linear", 0.1),
             random.Random(1),
-            trace=trace,
+            curves=curves,
         )
+        trace = curves.steps
         assert trace[-1].batch == 14 == math.ceil(5000 / 361)
         starts = [o for o in trace if (o.t - 1) % 361 == 0]
         nexts = [o for o in trace if (o.t - 2) % 361 == 0]
