@@ -270,8 +270,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    if len(args.horizons) < 3:
-        raise ConfigError("horizons", "need at least three horizons")
     report = scaling_probe(
         args.family,
         args.horizons,

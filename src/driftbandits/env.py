@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class MeanSchedule:
     """
 
     means: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.means, dtype=float)
@@ -59,21 +59,25 @@ class MeanSchedule:
 
     # Plain-Python views, cached: scalar indexing into ndarrays is too slow
     # for the per-step simulation loop.
-    @property
+    @cached_property
     def rows(self) -> tuple:
-        r = self._cache.get("rows")
-        if r is None:
-            r = tuple(tuple(row) for row in self.means.tolist())
-            self._cache["rows"] = r
-        return r
+        return tuple(tuple(row) for row in self.means.tolist())
 
-    @property
+    @cached_property
     def best_mean(self) -> tuple:
-        b = self._cache.get("best_mean")
-        if b is None:
-            b = tuple(self.means.max(axis=1).tolist())
-            self._cache["best_mean"] = b
-        return b
+        return tuple(self.means.max(axis=1).tolist())
+
+    @cached_property
+    def variation(self) -> float:
+        """Total variation ``sum_t max_a |mu_t(a) - mu_{t+1}(a)|``.
+
+        Uses exact summation so piecewise-constant schedules report their
+        variation with no accumulation error.
+        """
+        if self.T == 1:
+            return 0.0
+        step_sup = np.abs(np.diff(self.means, axis=0)).max(axis=1)
+        return math.fsum(step_sup.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,24 +238,6 @@ def make_sinusoidal_env(
     return env
 
 
-def _schedule_of(env) -> MeanSchedule:
-    return env if isinstance(env, MeanSchedule) else env.schedule
-
-
 def variation_of(env) -> float:
-    """Total variation ``sum_t max_a |mu_t(a) - mu_{t+1}(a)|`` of a schedule.
-
-    Uses exact summation so piecewise-constant schedules report their
-    variation with no accumulation error.  Cached on the schedule, which is
-    immutable.
-    """
-    sched = _schedule_of(env)
-    v = sched._cache.get("variation")
-    if v is None:
-        if sched.T == 1:
-            v = 0.0
-        else:
-            step_sup = np.abs(np.diff(sched.means, axis=0)).max(axis=1)
-            v = math.fsum(step_sup.tolist())
-        sched._cache["variation"] = v
-    return v
+    """``MeanSchedule.variation`` of an environment or schedule (cached)."""
+    return (env if isinstance(env, MeanSchedule) else env.schedule).variation

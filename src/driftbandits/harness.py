@@ -81,7 +81,11 @@ class ConfigError(ValueError):
 
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}")
+
+    def __reduce__(self):  # crosses the process pool intact
+        return type(self), (self.key, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +418,24 @@ def run_replication(
     recorder = (
         CurveRecorder(steps=collect_trace) if collect_curves or collect_trace else None
     )
-    if resolved.sigma is not None:
-        run_restarting(
-            envobj,
-            RestartParams(resolved.sigma, resolved.lam),
-            resolved.policy_params,
-            resolved.drift_model,
-            rng,
-            totals,
-            recorder,
-        )
-    else:
-        policy = make_policy(resolved.policy_params, resolved.K)
-        run_incentivized(envobj, policy, resolved.drift_model, rng, totals, recorder)
+    try:
+        if resolved.sigma is not None:
+            run_restarting(
+                envobj,
+                RestartParams(resolved.sigma, resolved.lam),
+                resolved.policy_params,
+                resolved.drift_model,
+                rng,
+                totals,
+                recorder,
+            )
+        else:
+            policy = make_policy(resolved.policy_params, resolved.K)
+            run_incentivized(envobj, policy, resolved.drift_model, rng, totals, recorder)
+    except ValueError as exc:
+        # True rewards are 0 or 1, so a step check only fails once the drift
+        # term l * chi (or a sum of drifted rewards) has left the float range.
+        raise ConfigError("drift.l", f"drift overflows at run time ({exc})") from exc
     curves = None
     if collect_curves:
         curves = {
@@ -647,8 +656,8 @@ def fit_loglog(xs, ys) -> float:
     """Least-squares slope of ``ln y`` against ``ln x``."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise ValueError("need at least two points")
+    if xs.size != ys.size or np.unique(xs).size < 2:
+        raise ValueError("need at least two points with distinct x")
     if (xs <= 0).any() or (ys <= 0).any() or not np.isfinite(ys).all():
         raise ValueError("degenerate fit: all points must be positive and finite")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
@@ -672,18 +681,17 @@ def scaling_probe(
     reps: int = 200,
     base_seed: int = 0,
     drift_l: float = 0.4,
-    budget: float = 3.0,
     workers: int = 1,
 ) -> ScalingReport:
     """Fit the log-log growth of mean regret/compensation against T.
 
     ``family="flip"`` runs the single-breakpoint abrupt environment with the
     policy's tuning formula applied at each horizon; ``family="sinusoidal"``
-    runs the restarting scheduler on budget-constrained drift.
+    runs the restarting scheduler on drift with variation budget 3.
     """
     horizons = sorted(int(t) for t in horizons)
-    if len(horizons) < 3:
-        raise ValueError("need at least three horizons")
+    if len(set(horizons)) < 3:
+        raise ConfigError("horizons", f"need three distinct horizons, got {horizons}")
     regret_means, comp_means = [], []
     for T in horizons:
         if family == "flip":
@@ -691,7 +699,7 @@ def scaling_probe(
             restart = None
         elif family == "sinusoidal":
             envspec = EnvSpec(
-                kind="sinusoidal", T=T, budget=budget, amplitude=0.3, active_fraction=1.0
+                kind="sinusoidal", T=T, budget=3.0, amplitude=0.3, active_fraction=1.0
             )
             restart = RestartParams(sigma=None, lam=1.0)
         else:

@@ -63,6 +63,8 @@ class DriftModel:
         if self.kind == "saturating":
             if self.cap is None or not 0.0 < self.cap < inf:
                 raise ValueError("saturating drift requires a finite cap > 0")
+            if self.l * self.cap == inf:  # the drift never exceeds l * cap
+                raise ValueError(f"l * cap must be finite, got l={self.l}, cap={self.cap}")
 
     def apply(self, chi: float) -> float:
         """Drift ``f(chi)`` caused by paying compensation ``chi``."""

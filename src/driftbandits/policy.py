@@ -1,12 +1,15 @@
 """Arm-selection policies with incremental sufficient statistics.
 
-All policies share the same lifecycle: the first ``K`` recommendations are a
-forced round-robin over the arms (1..K), after which the policy's index rule
-takes over.  ``recommend`` never mutates state; ``observe`` folds one
-(arm, reward) pair into the statistics.  Arms and time are 1-indexed at the
-interface; rewards may exceed 1 when feedback is drift-biased.
+All policies share the same lifecycle, written once in ``Policy``: the first
+``K`` recommendations are a forced round-robin over the arms (1..K), after
+which ``recommend`` calls the subclass's ``_pick``.  ``recommend`` never
+mutates state; ``observe`` checks the (arm, reward) pair, folds it into the
+statistics with the subclass's ``_update`` and advances ``t``.  Arms and time
+are 1-indexed at the interface; rewards may exceed 1 when feedback is
+drift-biased.
 
-Index rules:
+Index rules (the UCB family shares one ``_pick``: the argmax of
+``estimate(a) + radius(a)``, ties to the lowest arm):
 
 * UCB1:   ``mean + sqrt(2 ln t / N)``
 * DUCB:   discounted mean + ``2 sqrt(xi ln n(gamma) / N(gamma, a))``
@@ -14,8 +17,9 @@ Index rules:
 * eps-greedy: uniform exploration w.p. ``min(1, eps_c * K / t)``, else greedy
 * Thompson: Beta(alpha, beta) posterior sampling with Bernoulli-ized updates
 
-With ``gamma = 1`` and ``xi = 1/2`` the DUCB index reduces to UCB1 exactly
-(bit-for-bit); with ``tau >= T`` and ``xi = 2`` so does SWUCB.
+UCB1 and eps-greedy share ``SampleMeanPolicy``'s statistics.  With ``gamma = 1``
+and ``xi = 1/2`` the DUCB index reduces to UCB1 exactly (bit-for-bit); with
+``tau >= T`` and ``xi = 2`` so does SWUCB.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = [
     "POLICY_KINDS",
     "PolicyParams",
     "Policy",
+    "UcbPolicy",
+    "SampleMeanPolicy",
     "Ucb1Policy",
     "DucbPolicy",
     "SwucbPolicy",
@@ -88,9 +94,15 @@ class PolicyParams:
 
 
 class Policy:
-    """Common lifecycle: forced round-robin, then the subclass index rule."""
+    """Common lifecycle: forced round-robin, then the subclass's ``_pick``.
+
+    A subclass supplies ``_pick(rng)``, ``_update(i, reward, rng)`` (arm
+    ``i`` 0-based), ``estimate`` and ``_dump``: ``(json key, attribute)``
+    pairs naming its per-arm lists.
+    """
 
     kind = "base"
+    _dump: tuple = ()
 
     def __init__(self, K: int):
         if K < 2:
@@ -104,14 +116,18 @@ class Policy:
         return self.t >= self.K
 
     def recommend(self, rng: Random) -> int:
-        raise NotImplementedError
+        if self.t < self.K:
+            return self.t + 1
+        return self._pick(rng)
 
     def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
         """Fold one (arm, reward) pair in. Thompson needs ``rng``; others ignore it."""
-        raise NotImplementedError
-
-    def estimate(self, arm: int) -> float:
-        raise NotImplementedError
+        if not 1 <= arm <= self.K:
+            raise ValueError(f"arm {arm} outside [1, {self.K}]")
+        if not 0.0 <= reward < inf:
+            raise ValueError(f"reward must be finite and nonnegative, got {reward}")
+        self._update(arm - 1, reward, rng)
+        self.t += 1
 
     def greedy_arm(self) -> int:
         """Arm maximizing this policy's own mean estimator (ties: lowest)."""
@@ -125,66 +141,62 @@ class Policy:
                 pick, best = a, v
         return pick
 
-    def _check(self, arm: int, reward: float) -> None:
-        if not 1 <= arm <= self.K:
-            raise ValueError(f"arm {arm} outside [1, {self.K}]")
-        if not 0.0 <= reward < inf:
-            raise ValueError(f"reward must be finite and nonnegative, got {reward}")
-
-    def _per_arm(self) -> list:
-        raise NotImplementedError
-
     def state_json(self) -> str:
         """Debug dump with stable field order."""
-        return json.dumps({"kind": self.kind, "t": self.t, "per_arm": self._per_arm()})
+        columns = [(key, getattr(self, attr)) for key, attr in self._dump]
+        per_arm = [{key: col[i] for key, col in columns} for i in range(self.K)]
+        return json.dumps({"kind": self.kind, "t": self.t, "per_arm": per_arm})
 
 
-class Ucb1Policy(Policy):
-    kind = "ucb1"
+class UcbPolicy(Policy):
+    """Index ``estimate(a) + radius(a)``; an unseen arm's radius is ``inf``."""
+
+    def radius(self, arm: int) -> float:
+        raise NotImplementedError
+
+    def _pick(self, rng: Random) -> int:
+        est, rad = self.estimate, self.radius
+        pick, best = 1, -inf
+        for a in range(1, self.K + 1):
+            v = est(a) + rad(a)
+            if v > best:
+                pick, best = a, v
+        return pick
+
+
+class SampleMeanPolicy(Policy):
+    """Per-arm pull counts and reward sums; the estimate is their ratio."""
+
+    _dump = (("count", "count"), ("sum", "total"))
 
     def __init__(self, K: int, params: PolicyParams | None = None):
         super().__init__(K)
         self.count = [0.0] * K
         self.total = [0.0] * K
 
-    def recommend(self, rng: Random) -> int:
-        t = self.t
-        if t < self.K:
-            return t + 1
-        two_log_t = 2.0 * log(t)
-        count, total = self.count, self.total
-        pick, best = 1, -inf
-        for i in range(self.K):
-            n = count[i]
-            v = total[i] / n + sqrt(two_log_t / n) if n > 0.0 else inf
-            if v > best:
-                pick, best = i + 1, v
-        return pick
-
-    def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
-        self._check(arm, reward)
-        self.count[arm - 1] += 1.0
-        self.total[arm - 1] += reward
-        self.t += 1
+    def _update(self, i: int, reward: float, rng: Random | None) -> None:
+        self.count[i] += 1.0
+        self.total[i] += reward
 
     def estimate(self, arm: int) -> float:
         n = self.count[arm - 1]
         return self.total[arm - 1] / n if n > 0.0 else 0.0
 
+
+class Ucb1Policy(UcbPolicy, SampleMeanPolicy):
+    kind = "ucb1"
+
     def radius(self, arm: int) -> float:
         n = self.count[arm - 1]
         return sqrt(2.0 * log(self.t) / n) if n > 0.0 else inf
 
-    def _per_arm(self) -> list:
-        return [
-            {"count": self.count[i], "sum": self.total[i]} for i in range(self.K)
-        ]
 
-
-class DucbPolicy(Policy):
+class DucbPolicy(UcbPolicy):
     """Discounted UCB: all statistics decay by ``gamma`` at every observation."""
 
     kind = "ducb"
+    _dump = (("disc_count", "disc_count"), ("disc_sum", "disc_sum"),
+             ("raw_count", "raw_count"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
@@ -197,32 +209,16 @@ class DucbPolicy(Policy):
         self.raw_count = [0] * K  # undiscounted pulls N_t(a)
         self.disc_total = 0.0  # n_t(gamma)
 
-    def recommend(self, rng: Random) -> int:
-        if self.t < self.K:
-            return self.t + 1
-        xi_log_n = self.xi * log(self.disc_total)
-        dc, ds = self.disc_count, self.disc_sum
-        pick, best = 1, -inf
-        for i in range(self.K):
-            n = dc[i]
-            v = ds[i] / n + 2.0 * sqrt(xi_log_n / n) if n > 0.0 else inf
-            if v > best:
-                pick, best = i + 1, v
-        return pick
-
-    def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
-        self._check(arm, reward)
+    def _update(self, i: int, reward: float, rng: Random | None) -> None:
         g = self.gamma
         dc, ds = self.disc_count, self.disc_sum
-        for i in range(self.K):
-            dc[i] *= g
-            ds[i] *= g
-        i = arm - 1
+        for j in range(self.K):
+            dc[j] *= g
+            ds[j] *= g
         dc[i] += 1.0
         ds[i] += reward
         self.raw_count[i] += 1
         self.disc_total = g * self.disc_total + 1.0
-        self.t += 1
 
     def estimate(self, arm: int) -> float:
         n = self.disc_count[arm - 1]
@@ -234,21 +230,13 @@ class DucbPolicy(Policy):
             return inf
         return 2.0 * sqrt(self.xi * log(self.disc_total) / n)
 
-    def _per_arm(self) -> list:
-        return [
-            {
-                "disc_count": self.disc_count[i],
-                "disc_sum": self.disc_sum[i],
-                "raw_count": self.raw_count[i],
-            }
-            for i in range(self.K)
-        ]
 
-
-class SwucbPolicy(Policy):
+class SwucbPolicy(UcbPolicy):
     """Sliding-window UCB over the last ``tau`` pulls."""
 
     kind = "swucb"
+    _dump = (("win_count", "win_count"), ("win_sum", "win_sum"),
+             ("raw_count", "raw_count"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
@@ -261,32 +249,15 @@ class SwucbPolicy(Policy):
         self.win_sum = [0.0] * K
         self.raw_count = [0] * K
 
-    def recommend(self, rng: Random) -> int:
-        t = self.t
-        if t < self.K:
-            return t + 1
-        xi_log_w = self.xi * log(min(t, self.tau))
-        wc, ws = self.win_count, self.win_sum
-        pick, best = 1, -inf
-        for i in range(self.K):
-            n = wc[i]
-            v = ws[i] / n + sqrt(xi_log_w / n) if n > 0 else inf
-            if v > best:
-                pick, best = i + 1, v
-        return pick
-
-    def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
-        self._check(arm, reward)
+    def _update(self, i: int, reward: float, rng: Random | None) -> None:
         if len(self.window) == self.tau:
             old_i, old_r = self.window.popleft()
             self.win_count[old_i] -= 1
             self.win_sum[old_i] -= old_r
-        i = arm - 1
         self.window.append((i, reward))
         self.win_count[i] += 1
         self.win_sum[i] += reward
         self.raw_count[i] += 1
-        self.t += 1
 
     def estimate(self, arm: int) -> float:
         n = self.win_count[arm - 1]
@@ -298,18 +269,8 @@ class SwucbPolicy(Policy):
             return inf
         return sqrt(self.xi * log(min(self.t, self.tau)) / n)
 
-    def _per_arm(self) -> list:
-        return [
-            {
-                "win_count": self.win_count[i],
-                "win_sum": self.win_sum[i],
-                "raw_count": self.raw_count[i],
-            }
-            for i in range(self.K)
-        ]
 
-
-class EpsGreedyPolicy(Policy):
+class EpsGreedyPolicy(SampleMeanPolicy):
     """Decaying-epsilon greedy: explore w.p. ``min(1, eps_c * K / t)``."""
 
     kind = "eps_greedy"
@@ -317,32 +278,12 @@ class EpsGreedyPolicy(Policy):
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
         self.eps_c = params.eps_c
-        self.count = [0.0] * K
-        self.total = [0.0] * K
 
-    def recommend(self, rng: Random) -> int:
-        t = self.t
-        if t < self.K:
-            return t + 1
-        eps = self.eps_c * self.K / t
+    def _pick(self, rng: Random) -> int:
+        eps = self.eps_c * self.K / self.t
         if eps >= 1.0 or rng.random() < eps:
             return rng.randrange(self.K) + 1
         return self.greedy_arm()
-
-    def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
-        self._check(arm, reward)
-        self.count[arm - 1] += 1.0
-        self.total[arm - 1] += reward
-        self.t += 1
-
-    def estimate(self, arm: int) -> float:
-        n = self.count[arm - 1]
-        return self.total[arm - 1] / n if n > 0.0 else 0.0
-
-    def _per_arm(self) -> list:
-        return [
-            {"count": self.count[i], "sum": self.total[i]} for i in range(self.K)
-        ]
 
 
 class ThompsonPolicy(Policy):
@@ -355,15 +296,14 @@ class ThompsonPolicy(Policy):
     """
 
     kind = "thompson"
+    _dump = (("alpha", "alpha"), ("beta", "beta"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
         self.alpha = [params.prior_a] * K
         self.beta = [params.prior_b] * K
 
-    def recommend(self, rng: Random) -> int:
-        if self.t < self.K:
-            return self.t + 1
+    def _pick(self, rng: Random) -> int:
         beta = rng.betavariate
         a_, b_ = self.alpha, self.beta
         pick, best = 1, -inf
@@ -373,26 +313,18 @@ class ThompsonPolicy(Policy):
                 pick, best = i + 1, v
         return pick
 
-    def observe(self, arm: int, reward: float, rng: Random | None = None) -> None:
-        self._check(arm, reward)
+    def _update(self, i: int, reward: float, rng: Random | None) -> None:
         if rng is None:
             raise ValueError("thompson updates need an rng for the Bernoulli draw")
         x = reward if reward < 1.0 else 1.0
-        i = arm - 1
         if rng.random() < x:
             self.alpha[i] += 1.0
         else:
             self.beta[i] += 1.0
-        self.t += 1
 
     def estimate(self, arm: int) -> float:
         i = arm - 1
         return self.alpha[i] / (self.alpha[i] + self.beta[i])
-
-    def _per_arm(self) -> list:
-        return [
-            {"alpha": self.alpha[i], "beta": self.beta[i]} for i in range(self.K)
-        ]
 
 
 def make_policy(params: PolicyParams, K: int) -> Policy:

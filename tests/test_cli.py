@@ -171,10 +171,39 @@ def test_unknown_reproduce_target_exits_2():
 
 
 def test_scaling_needs_three_horizons(tmp_path, capsys):
-    code = main(["scaling", "--family", "flip", "--horizons", "100,200",
-                 "--out", str(tmp_path / "o"), "--reps", "1"])
+    for horizons in ("100,200", "100,100,100"):  # three distinct ones
+        code = main(["scaling", "--family", "flip", "--policy", "ucb1",
+                     "--horizons", horizons, "--out", str(tmp_path / "o"),
+                     "--reps", "1"])
+        assert code == 2
+        assert "horizons" in capsys.readouterr().err
+
+
+DRIFT_OVERFLOW = {
+    # a drifted reward l * chi overflows to inf at run time
+    "linear": ({"env": {"kind": "flip", "T": 5000, "segments": 4},
+                "policy": {"kind": "eps_greedy"},
+                "drift": {"kind": "linear", "l": 1e300}, "reps": 3},
+               "drift.l: drift overflows at run time"),
+    # the drift bound l * cap is itself inf
+    "saturating": ({"env": {"kind": "flip", "T": 500, "segments": 4},
+                    "policy": {"kind": "eps_greedy"},
+                    "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10},
+                    "reps": 3},
+                   "drift: l * cap must be finite"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("drift", list(DRIFT_OVERFLOW))
+def test_drift_overflow_exits_2_and_names_key(tmp_path, capsys, drift, workers):
+    config, message = DRIFT_OVERFLOW[drift]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--workers", workers])
     assert code == 2
-    assert "horizons" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_scaling_writes_report(tmp_path):

@@ -170,7 +170,7 @@ class TestVariation:
         env = make_sinusoidal_env(2000, 3.0, 0.25, 1.0)
         step_sup = np.abs(np.diff(env.schedule.means, axis=0)).max(axis=1)
         exact = math.fsum(step_sup.tolist())
-        assert env.schedule._cache["variation"] == exact
+        assert env.schedule.__dict__["variation"] == exact
         assert variation_of(env) == exact
 
     def test_budget_invariant_holds_for_generated(self):

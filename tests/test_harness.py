@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 from datetime import timedelta
 
 import numpy as np
@@ -175,6 +176,10 @@ class TestConfig:
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig.from_dict(d)
             assert err.value.key == f"{section}.{foreign}"
+
+    def test_config_error_survives_pickle(self):
+        err = pickle.loads(pickle.dumps(ConfigError("drift.l", "x")))
+        assert (type(err), err.key, str(err)) == (ConfigError, "drift.l", "drift.l: x")
 
     def test_type_mismatch_named(self):
         d = small_config().to_dict()
@@ -442,10 +447,13 @@ class TestScaling:
             fit_loglog([100, 200], [1.0, 0.0])
         with pytest.raises(ValueError):
             fit_loglog([100], [1.0])
+        with pytest.raises(ValueError):
+            fit_loglog([100, 100, 100], [1.0, 2.0, 3.0])
 
     def test_probe_requires_three_horizons(self):
-        with pytest.raises(ValueError):
-            scaling_probe("flip", [100, 200], reps=1)
+        for horizons in ([100, 200], [100, 100, 100], [100, 200, 200]):
+            with pytest.raises(ConfigError, match="horizons"):
+                scaling_probe("flip", horizons, reps=1)
 
     def test_probe_runs_small(self):
         report = scaling_probe(
@@ -545,6 +553,11 @@ CONFIG_DICTS = st.fixed_dictionaries(
           "policy": {"kind": "ucb1"}})
 @example({"env": {"kind": "flip", "T": 20}, "reps": 1,
           "policy": {"kind": "thompson", "prior_a": 1e308}})
+@example({"env": {"kind": "flip", "T": 5000, "segments": 4}, "reps": 3,
+          "policy": {"kind": "eps_greedy"}, "drift": {"kind": "linear", "l": 1e300}})
+@example({"env": {"kind": "flip", "T": 500, "segments": 4}, "reps": 3,
+          "policy": {"kind": "eps_greedy"},
+          "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10}})
 @settings(max_examples=200, deadline=timedelta(seconds=5))
 def test_config_dict_is_refused_or_runs_finite(d):
     try:

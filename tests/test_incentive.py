@@ -43,7 +43,7 @@ class TestDriftApply:
         with pytest.raises(ValueError):
             DriftModel("quadratic", 1.0)
         for l, cap in ((math.inf, None), (math.nan, None), (1.0, math.inf),
-                       (1.0, math.nan)):
+                       (1.0, math.nan), (1e308, 1e10)):
             with pytest.raises(ValueError):
                 DriftModel("saturating" if cap is not None else "linear", l, cap)
 

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftbandits.env import make_flip_env
+from driftbandits.incentive import CurveRecorder, DriftModel
 from driftbandits.policy import (
     POLICY_KINDS,
     PolicyParams,
     make_policy,
 )
+from reference_loop import reference_segment
 
 
 def params_for(kind, **overrides):
@@ -344,6 +347,39 @@ class TestUcb1Reductions:
             assert a1 == a2
 
 
+class TestUcbIndex:
+    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb"])
+    def test_zero_radius_recommends_greedy_arm(self, kind):
+        # The index is estimate + radius, so without a radius the UCB rule is
+        # the greedy rule and no step ever pays compensation.  Subclasses have
+        # no step kernel, so this runs on the reference loop.
+        base = type(make_policy(params_for(kind), 2))
+
+        class NoRadius(base):
+            def radius(self, arm):
+                return 0.0
+
+        env = make_flip_env(600, 4, 0.9, 0.1)
+        steps = {}
+        for policy in (base(2, params_for(kind)), NoRadius(2, params_for(kind))):
+            curves = CurveRecorder(steps=True)
+            reference_segment(policy, env, 1, 600, DriftModel("linear", 0.4),
+                              random.Random(3), curves=curves)
+            steps[type(policy)] = curves.steps
+        assert any(s.recommended != s.greedy for s in steps[base])
+        assert all(s.recommended == s.greedy for s in steps[NoRadius])
+        assert steps[NoRadius][-1].cum_comp == 0.0
+
+
+PER_ARM_FIELDS = {
+    "ucb1": {"count": float, "sum": float},
+    "ducb": {"disc_count": float, "disc_sum": float, "raw_count": int},
+    "swucb": {"win_count": int, "win_sum": float, "raw_count": int},
+    "eps_greedy": {"count": float, "sum": float},
+    "thompson": {"alpha": float, "beta": float},
+}
+
+
 class TestStateDump:
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_json_shape_and_field_order(self, kind):
@@ -357,3 +393,7 @@ class TestStateDump:
         assert d["kind"] == kind
         assert d["t"] == 2
         assert len(d["per_arm"]) == 2
+        fields = PER_ARM_FIELDS[kind]
+        for entry in d["per_arm"]:
+            assert list(entry) == list(fields)
+            assert [type(v) for v in entry.values()] == list(fields.values())
