@@ -187,12 +187,12 @@ REFERENCE_TABLES = {
     }),
 }
 
-# Figures: the curves each one plots, as (metric, curve name).
-_REGRET_CURVES = (("regret", "cum_pseudo_regret"), ("compensation", "cum_compensation"))
+# Figures: the curves each one plots, as (plot name, metric name).
+_REGRET_CURVES = (("regret", "pseudo_regret"), ("compensation", "compensation"))
 FIGURE_CURVES = {
     "fig2": _REGRET_CURVES,
     "fig3": _REGRET_CURVES,
-    "fig4": (("reward", "cum_true_reward"),),
+    "fig4": (("reward", "true_reward"),),
     "fig5": _REGRET_CURVES,
 }
 

@@ -3,25 +3,25 @@
 An environment is a deterministic mean-reward schedule ``mu_t(a)`` over a
 1-indexed horizon ``t = 1..T`` and arms ``a = 1..K``; the step engine
 (:mod:`driftbandits.incentive`) draws Bernoulli rewards from the schedule's
-plain-Python views.  Two generator families are provided: abrupt two-arm "flip"
-schedules (piecewise-constant means that swap at evenly spaced breakpoints)
-and continuously drifting sinusoidal schedules that spend a total-variation
-budget.  Environments are immutable after construction and safe to share
+plain-Python views.  Two generator families build the one
+:class:`Environment` type: abrupt two-arm "flip" schedules (piecewise-constant
+means that swap at evenly spaced breakpoints) carry their breakpoints, and
+continuously drifting sinusoidal schedules carry the total-variation budget
+they spend.  Environments are immutable after construction and safe to share
 across concurrent replications.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "MeanSchedule",
-    "AbruptEnvironment",
-    "DriftingEnvironment",
+    "Environment",
     "make_flip_env",
     "make_sinusoidal_env",
     "variation_of",
@@ -81,33 +81,17 @@ class MeanSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class AbruptEnvironment:
-    """Piecewise-stationary schedule with known breakpoint positions.
+class Environment:
+    """A mean schedule plus the one fact its generator fixed.
 
-    Means are constant on every interval between consecutive breakpoints;
-    ``beta`` counts the breakpoints, all strictly inside ``(1, T)``.
+    A flip schedule carries its ``breakpoints`` (means are constant between
+    them); a sinusoidal schedule carries the variation ``budget`` V_T that it
+    spends without exceeding.
     """
 
     schedule: MeanSchedule
-    breakpoints: tuple
-    beta: int
-
-    def __post_init__(self):
-        bps = tuple(int(b) for b in self.breakpoints)
-        if list(bps) != sorted(set(bps)):
-            raise ValueError("breakpoints must be strictly increasing")
-        T = self.schedule.T
-        if any(b <= 1 or b >= T for b in bps):
-            raise ValueError("breakpoints must lie strictly inside (1, T)")
-        if self.beta != len(bps):
-            raise ValueError("beta must equal the number of breakpoints")
-        m = self.schedule.means
-        edges = [0, *bps, T]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            seg = m[lo:hi]
-            if seg.shape[0] > 1 and (seg != seg[0]).any():
-                raise ValueError("means must be constant between breakpoints")
-        object.__setattr__(self, "breakpoints", bps)
+    breakpoints: tuple = ()
+    budget: float | None = None
 
     @property
     def T(self) -> int:
@@ -117,46 +101,23 @@ class AbruptEnvironment:
     def K(self) -> int:
         return self.schedule.K
 
-
-@dataclass(frozen=True, eq=False)
-class DriftingEnvironment:
-    """Schedule whose total sup-norm variation stays within a budget."""
-
-    schedule: MeanSchedule
-    budget: float
-    measured_variation: float = field(init=False)
-
-    def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.schedule.K * self.budget > self.schedule.T:
-            raise ValueError("inadmissible budget: K * V_T must not exceed T")
-        mv = variation_of(self.schedule)
-        if mv > self.budget:
-            raise ValueError(
-                f"schedule variation {mv} exceeds the budget {self.budget}"
-            )
-        object.__setattr__(self, "measured_variation", mv)
-
     @property
-    def T(self) -> int:
-        return self.schedule.T
-
-    @property
-    def K(self) -> int:
-        return self.schedule.K
+    def beta(self) -> int:
+        return len(self.breakpoints)
 
 
-def make_flip_env(T: int, p: int, hi: float, lo: float) -> AbruptEnvironment:
+def make_flip_env(T: int, p: int, hi: float, lo: float) -> Environment:
     """Two-arm schedule whose means swap at ``floor(k*T/p)``, ``k=1..p-1``.
 
     Arm 1 starts at ``hi`` and arm 2 at ``lo``; the values swap at every
-    breakpoint, giving ``p`` equal segments and ``p - 1`` breakpoints.
+    breakpoint, giving ``p`` equal segments and ``p - 1`` breakpoints, all
+    strictly inside ``(1, T)``.
     """
     if p <= 0:
         raise ValueError("segment count p must be positive")
-    if T < p:
-        raise ValueError("T must be at least the segment count p")
+    need = 2 * p if p > 1 else 1  # floor(T/p) > 1 keeps breakpoints past step 1
+    if T < need:
+        raise ValueError(f"T={T} is too short for {p} segments: needs T >= {need}")
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("means must satisfy 0 <= lo < hi <= 1")
 
@@ -167,7 +128,7 @@ def make_flip_env(T: int, p: int, hi: float, lo: float) -> AbruptEnvironment:
         arm1 = hi if seg % 2 == 0 else lo
         means[start:stop, 0] = arm1
         means[start:stop, 1] = lo if arm1 == hi else hi
-    return AbruptEnvironment(MeanSchedule(means), tuple(breakpoints), p - 1)
+    return Environment(MeanSchedule(means), tuple(breakpoints))
 
 
 def _phase_span(budget: float, amplitude: float) -> float:
@@ -189,7 +150,7 @@ def _phase_span(budget: float, amplitude: float) -> float:
 
 def make_sinusoidal_env(
     T: int, budget: float, amplitude: float, active_fraction: float
-) -> DriftingEnvironment:
+) -> Environment:
     """Two antiphase sinusoidal arms centered at 0.5 spending ``budget``.
 
     Both arms follow ``0.5 +/- amplitude * sin`` over the first
@@ -212,7 +173,7 @@ def make_sinusoidal_env(
 
     if budget == 0.0:
         means = np.full((T, 2), 0.5)
-        return DriftingEnvironment(MeanSchedule(means), 0.0)
+        return Environment(MeanSchedule(means), budget=0.0)
 
     theta_total = _phase_span(budget, amplitude)
     if theta_total < math.pi / 2.0:
@@ -232,10 +193,12 @@ def make_sinusoidal_env(
     means[n_active:, 0] = means[n_active - 1, 0]
     means[n_active:, 1] = means[n_active - 1, 1]
 
-    env = DriftingEnvironment(MeanSchedule(means), float(budget))
-    if env.measured_variation < 0.95 * budget:
+    schedule = MeanSchedule(means)
+    if schedule.variation > budget:
+        raise ValueError(f"variation {schedule.variation} exceeds the budget {budget}")
+    if schedule.variation < 0.95 * budget:
         raise ValueError("generated schedule underspends the budget by >5%")
-    return env
+    return Environment(schedule, budget=float(budget))
 
 
 def variation_of(env) -> float:

@@ -10,11 +10,12 @@ seeded by a 64-bit mix of ``(base_seed, i)``, so results are
 bit-reproducible and independent of both worker count and execution order;
 aggregation reduces over rep-indexed arrays with a fixed order.
 
-Metrics per replication:
+Metrics per replication, named as the fields of :class:`Totals` and its curves:
 
-* pseudo-regret  ``sum_t (mu*_t - mu_t(a_t))``  (headline, low variance)
-* realized regret ``sum_t (mu*_t - X_t(a_t))``
-* compensation    ``sum_t chi_t``
+* ``pseudo_regret``   ``sum_t (mu*_t - mu_t(a_t))``  (headline, low variance)
+* ``realized_regret`` ``sum_t (mu*_t - X_t(a_t))``
+* ``compensation``    ``sum_t chi_t``
+* ``true_reward``     ``sum_t X_t(a_t)``
 """
 
 from __future__ import annotations
@@ -30,13 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .env import (
-    DriftingEnvironment,
-    make_flip_env,
-    make_sinusoidal_env,
-    variation_of,
-)
-from .incentive import CurveRecorder, DriftModel, RunTotals, run_incentivized
+from .env import make_flip_env, make_sinusoidal_env, variation_of
+from .incentive import CurveRecorder, DriftModel, Totals, run_incentivized
 from .policy import PolicyParams, make_policy
 from .restart import RestartParams, batch_size, run_restarting
 from .seeding import make_rng, rep_seed
@@ -69,6 +65,9 @@ __all__ = [
 
 GAMMA_C_GRID = (10.0, 15.0, 20.0, 25.0, 30.0, 40.0)
 TAU_C_GRID = (0.9, 0.95, 1.0, 2.0)
+
+# Per-replication metrics: the run totals, and the per-step curves of them.
+METRIC_NAMES = Totals._fields
 
 TRACE_HEADER = (
     "rep,t,batch,arm,greedy,comp,drift,true_reward,obs_reward,"
@@ -363,11 +362,7 @@ class ExperimentConfig:
         if self.restart is not None:
             sigma, lam = self.restart.sigma, self.restart.lam
             if sigma is None:
-                budget = (
-                    envobj.budget
-                    if isinstance(envobj, DriftingEnvironment)
-                    else variation_of(envobj)
-                )
+                budget = variation_of(envobj) if envobj.budget is None else envobj.budget
                 try:
                     sigma = batch_size(T, budget, K, lam)
                 except ValueError as exc:
@@ -394,7 +389,7 @@ class ExperimentConfig:
 
 @dataclass
 class ReplicationResult:
-    """Cumulative metrics of one replication (plus optional extras)."""
+    """One replication's :class:`Totals`, plus optional curves and step records."""
 
     pseudo_regret: float
     realized_regret: float
@@ -414,57 +409,29 @@ def run_replication(
     resolved = config.resolve()
     envobj = build_env(config.env)
     rng = make_rng(config.base_seed, rep_index)
-    totals = RunTotals()
     recorder = (
         CurveRecorder(steps=collect_trace) if collect_curves or collect_trace else None
     )
     try:
         if resolved.sigma is not None:
-            run_restarting(
-                envobj,
-                RestartParams(resolved.sigma, resolved.lam),
-                resolved.policy_params,
-                resolved.drift_model,
-                rng,
-                totals,
-                recorder,
-            )
+            totals = run_restarting(envobj, resolved.sigma, resolved.policy_params,
+                                    resolved.drift_model, rng, curves=recorder)
         else:
             policy = make_policy(resolved.policy_params, resolved.K)
-            run_incentivized(envobj, policy, resolved.drift_model, rng, totals, recorder)
+            totals = run_incentivized(envobj, policy, resolved.drift_model, rng,
+                                      curves=recorder)
     except ValueError as exc:
         # True rewards are 0 or 1, so a step check only fails once the drift
         # term l * chi (or a sum of drifted rewards) has left the float range.
         raise ConfigError("drift.l", f"drift overflows at run time ({exc})") from exc
     curves = None
     if collect_curves:
-        curves = {
-            "cum_pseudo_regret": np.asarray(recorder.cum_pseudo),
-            "cum_realized_regret": np.asarray(recorder.cum_realized),
-            "cum_compensation": np.asarray(recorder.cum_comp),
-            "cum_true_reward": np.asarray(recorder.cum_reward),
-        }
-    return ReplicationResult(
-        totals.pseudo_regret,
-        totals.realized_regret,
-        totals.compensation,
-        totals.true_reward,
-        curves,
-        recorder.steps if collect_trace else None,
-    )
+        curves = {name: np.asarray(getattr(recorder, name)) for name in METRIC_NAMES}
+    return ReplicationResult(*totals, curves, recorder.steps if collect_trace else None)
 
 
 def _run_chunk(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
     return [run_replication(config, rep, collect_curves) for rep in rep_indices]
-
-
-METRIC_NAMES = ("pseudo_regret", "realized_regret", "compensation", "true_reward")
-CURVE_NAMES = (
-    "cum_pseudo_regret",
-    "cum_realized_regret",
-    "cum_compensation",
-    "cum_true_reward",
-)
 
 
 @dataclass
@@ -538,24 +505,26 @@ def run_experiment(
 
     The reduction is over arrays indexed by replication, with chunks
     consumed in submission order, so the result is identical for any
-    ``workers`` value.  When ``config.trace`` is on and ``trace_path`` is
-    given, replications run serially and stream rows to the trace CSV.
+    ``workers`` value.  When ``config.trace`` is on, replications run
+    serially and stream rows to the trace CSV at ``trace_path``; a traced
+    config without a ``trace_path`` is refused.
     """
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers}")
+    if config.trace and trace_path is None:
+        raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
     resolved = config.resolve()  # validate before spawning anything
     reps = config.reps
-    tracing = config.trace and trace_path is not None
     pool, ranges = pool_plan(reps, workers, os.cpu_count() or 1, collect_curves)
     values = {name: np.empty(reps) for name in METRIC_NAMES}
     curve_sum = curve_sumsq = None
     with ExitStack() as stack:
-        if tracing:
+        if config.trace:
             writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
             writer.writerow(TRACE_HEADER.split(","))
-        if tracing or pool == 1:
+        if config.trace or pool == 1:
             results = (
-                run_replication(config, rep, collect_curves, tracing)
+                run_replication(config, rep, collect_curves, config.trace)
                 for rep in range(reps)
             )
         else:
@@ -568,12 +537,12 @@ def run_experiment(
                 values[name][rep] = getattr(res, name)
             if collect_curves:
                 if curve_sum is None:
-                    curve_sum = {k: np.zeros_like(res.curves[k]) for k in CURVE_NAMES}
-                    curve_sumsq = {k: np.zeros_like(res.curves[k]) for k in CURVE_NAMES}
-                for k in CURVE_NAMES:
+                    curve_sum = {k: np.zeros_like(res.curves[k]) for k in METRIC_NAMES}
+                    curve_sumsq = {k: np.zeros_like(res.curves[k]) for k in METRIC_NAMES}
+                for k in METRIC_NAMES:
                     curve_sum[k] += res.curves[k]
                     curve_sumsq[k] += res.curves[k] ** 2
-            if tracing:
+            if config.trace:
                 writer.writerows((rep, *step) for step in res.trace)
 
     mean = {name: float(np.mean(values[name])) for name in METRIC_NAMES}
@@ -581,7 +550,7 @@ def run_experiment(
     curve_mean = curve_stderr = None
     if collect_curves and curve_sum is not None:
         curve_mean, curve_stderr = {}, {}
-        for k in CURVE_NAMES:
+        for k in METRIC_NAMES:
             m = curve_sum[k] / reps
             curve_mean[k] = m
             if reps > 1:
@@ -690,8 +659,8 @@ def scaling_probe(
     runs the restarting scheduler on drift with variation budget 3.
     """
     horizons = sorted(int(t) for t in horizons)
-    if len(set(horizons)) < 3:
-        raise ConfigError("horizons", f"need three distinct horizons, got {horizons}")
+    if len(horizons) < 3 or len(set(horizons)) < len(horizons):
+        raise ConfigError("horizons", f"need 3 or more, all distinct, got {horizons}")
     regret_means, comp_means = [], []
     for T in horizons:
         if family == "flip":

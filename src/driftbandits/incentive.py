@@ -12,8 +12,8 @@ true reward from the drift.
 ``run_segment`` is the single entry point to this loop; it serves the
 one-step API, full runs, and the restarting scheduler.  It steps the
 built-in policies through fused per-policy kernels, which inline the policy
-and drift methods, accumulate regret/compensation totals, and write into a
-:class:`CurveRecorder` only when one is supplied.
+and drift methods, take the run's :class:`Totals` and return them updated,
+and append to a :class:`CurveRecorder` only when one is supplied.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .policy import (
 __all__ = [
     "DriftModel",
     "StepOutcome",
-    "RunTotals",
+    "Totals",
     "CurveRecorder",
     "incentive_step",
     "run_segment",
@@ -78,8 +78,7 @@ class DriftModel:
 class StepOutcome(NamedTuple):
     """Full record of one incentivized step, in ``trace.csv`` column order.
 
-    The ``cum_*`` fields are the run's totals (the :class:`RunTotals` the
-    step adds to) after this step.
+    The ``cum_*`` fields are the run's :class:`Totals` after this step.
     """
 
     t: int
@@ -95,32 +94,30 @@ class StepOutcome(NamedTuple):
     cum_comp: float
 
 
-class RunTotals:
-    """Running sums over a (partial) run; carried across restart batches."""
+class Totals(NamedTuple):
+    """Sums over a (partial) run, named as the summary metrics."""
 
-    __slots__ = ("pseudo_regret", "realized_regret", "compensation", "true_reward")
-
-    def __init__(self):
-        self.pseudo_regret = 0.0
-        self.realized_regret = 0.0
-        self.compensation = 0.0
-        self.true_reward = 0.0
+    pseudo_regret: float = 0.0
+    realized_regret: float = 0.0
+    compensation: float = 0.0
+    true_reward: float = 0.0
 
 
 class CurveRecorder:
-    """The per-step sink: the run's cumulative totals after every step.
+    """The per-step sink: one list per :class:`Totals` field, under its name.
 
-    With ``steps=True`` it also keeps one :class:`StepOutcome` per step,
-    which is what a trace exports.
+    Each list holds that total after every step.  With ``steps=True`` it
+    also keeps one :class:`StepOutcome` per step, which is what a trace
+    exports.
     """
 
-    __slots__ = ("cum_pseudo", "cum_realized", "cum_comp", "cum_reward", "steps")
+    __slots__ = (*Totals._fields, "steps")
 
     def __init__(self, steps: bool = False):
-        self.cum_pseudo: list[float] = []
-        self.cum_realized: list[float] = []
-        self.cum_comp: list[float] = []
-        self.cum_reward: list[float] = []
+        self.pseudo_regret: list[float] = []
+        self.realized_regret: list[float] = []
+        self.compensation: list[float] = []
+        self.true_reward: list[float] = []
         self.steps: list[StepOutcome] | None = [] if steps else None
 
 
@@ -131,17 +128,18 @@ def run_segment(
     t_end: int,
     model: DriftModel,
     rng: Random,
-    totals: RunTotals | None = None,
+    totals: Totals = Totals(),
     curves: CurveRecorder | None = None,
     batch: int = 1,
-) -> RunTotals:
+) -> Totals:
     """Run incentivized steps ``t_start..t_end`` (inclusive), mutating ``policy``.
 
-    During the policy's forced round-robin no greedy arm exists, so no
-    compensation is paid and no drift occurs.  Each step consumes the
-    policy's recommendation draws (if any), exactly one uniform for the
-    Bernoulli reward, then any update draws, in that order.  ``batch`` is
-    the restart batch recorded in the step records.
+    Returns ``totals`` plus the sums over these steps.  During the policy's
+    forced round-robin no greedy arm exists, so no compensation is paid and
+    no drift occurs.  Each step consumes the policy's recommendation draws
+    (if any), exactly one uniform for the Bernoulli reward, then any update
+    draws, in that order.  ``batch`` is the restart batch recorded in the
+    step records.
 
     Only the built-in policy classes and ``DriftModel`` itself have a step
     kernel; any other type, a subclass included, is refused with a
@@ -155,20 +153,13 @@ def run_segment(
     sched = env.schedule
     if not (1 <= t_start and t_end <= sched.T):
         raise ValueError(f"steps [{t_start}, {t_end}] outside horizon [1, {sched.T}]")
-    if totals is None:
-        totals = RunTotals()
     # Linear drift is the saturating form with an infinite cap: for every
     # chi that passes the check, ``chi if chi < inf else inf`` is ``chi``.
     cap = model.cap if model.kind == "saturating" else inf
-    acc = (totals.pseudo_regret, totals.realized_regret, totals.compensation,
-           totals.true_reward)
-    acc = kernel(
+    return kernel(
         policy, sched.rows, sched.best_mean, t_start, t_end, model.l, cap, rng,
-        acc, curves, batch,
+        totals, curves, batch,
     )
-    (totals.pseudo_regret, totals.realized_regret, totals.compensation,
-     totals.true_reward) = acc
-    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +177,8 @@ def run_segment(
 # against that loop.
 #
 # Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves,
-# batch), where ``acc`` is (pseudo, realized, compensation, true_reward);
-# returns the updated ``acc``.
+# batch), where ``acc`` is the run's :class:`Totals` so far; returns the
+# updated :class:`Totals`.
 
 
 def _bad_compensation(chi: float) -> ValueError:
@@ -206,10 +197,10 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
-        app_p = curves.cum_pseudo.append
-        app_r = curves.cum_realized.append
-        app_c = curves.cum_comp.append
-        app_w = curves.cum_reward.append
+        app_p = curves.pseudo_regret.append
+        app_r = curves.realized_regret.append
+        app_c = curves.compensation.append
+        app_w = curves.true_reward.append
         steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
@@ -264,7 +255,7 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
                     ))
     finally:
         pol.t = n_obs
-    return pseudo, realized, comp_sum, reward_sum
+    return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
 def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
@@ -277,10 +268,10 @@ def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
-        app_p = curves.cum_pseudo.append
-        app_r = curves.cum_realized.append
-        app_c = curves.cum_comp.append
-        app_w = curves.cum_reward.append
+        app_p = curves.pseudo_regret.append
+        app_r = curves.realized_regret.append
+        app_c = curves.compensation.append
+        app_w = curves.true_reward.append
         steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
@@ -342,7 +333,7 @@ def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
     finally:
         pol.t = n_obs
         pol.disc_total = n_disc
-    return pseudo, realized, comp_sum, reward_sum
+    return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
 def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
@@ -356,10 +347,10 @@ def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, ba
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
-        app_p = curves.cum_pseudo.append
-        app_r = curves.cum_realized.append
-        app_c = curves.cum_comp.append
-        app_w = curves.cum_reward.append
+        app_p = curves.pseudo_regret.append
+        app_r = curves.realized_regret.append
+        app_c = curves.compensation.append
+        app_w = curves.true_reward.append
         steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
@@ -421,7 +412,7 @@ def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, ba
                     ))
     finally:
         pol.t = n_obs
-    return pseudo, realized, comp_sum, reward_sum
+    return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
 def _eps_greedy_segment(
@@ -436,10 +427,10 @@ def _eps_greedy_segment(
     arms = range(1, K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
-        app_p = curves.cum_pseudo.append
-        app_r = curves.cum_realized.append
-        app_c = curves.cum_comp.append
-        app_w = curves.cum_reward.append
+        app_p = curves.pseudo_regret.append
+        app_r = curves.realized_regret.append
+        app_c = curves.compensation.append
+        app_w = curves.true_reward.append
         steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
@@ -492,7 +483,7 @@ def _eps_greedy_segment(
                     ))
     finally:
         pol.t = n_obs
-    return pseudo, realized, comp_sum, reward_sum
+    return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
 def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
@@ -504,10 +495,10 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
-        app_p = curves.cum_pseudo.append
-        app_r = curves.cum_realized.append
-        app_c = curves.cum_comp.append
-        app_w = curves.cum_reward.append
+        app_p = curves.pseudo_regret.append
+        app_r = curves.realized_regret.append
+        app_c = curves.compensation.append
+        app_w = curves.true_reward.append
         steps = curves.steps
     try:
         for t in range(t_start, t_end + 1):
@@ -559,7 +550,7 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
                     ))
     finally:
         pol.t = n_obs
-    return pseudo, realized, comp_sum, reward_sum
+    return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
 _KERNELS = {
@@ -585,8 +576,8 @@ def run_incentivized(
     policy: Policy,
     model: DriftModel,
     rng: Random,
-    totals: RunTotals | None = None,
+    totals: Totals = Totals(),
     curves: CurveRecorder | None = None,
-) -> RunTotals:
-    """Full-horizon incentivized run (no restarts)."""
+) -> Totals:
+    """Full-horizon incentivized run (no restarts); returns the updated totals."""
     return run_segment(policy, env, 1, env.schedule.T, model, rng, totals, curves)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .incentive import CurveRecorder, DriftModel, RunTotals, run_segment
+from .incentive import CurveRecorder, DriftModel, Totals, run_segment
 from .policy import PolicyParams, make_policy
 
 __all__ = [
@@ -28,11 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RestartParams:
-    """Batch size and the worst-case-regret constant used to derive it.
+    """The restart section of a config: batch size, or the constant to derive it.
 
     ``sigma=None`` means: derive the batch size from ``lam`` with
     :func:`batch_size` (the experiment harness does so when it resolves a
-    config); :func:`run_restarting` needs it set.
+    config and passes the result to :func:`run_restarting`).
     """
 
     sigma: int | None = None
@@ -75,26 +75,21 @@ def batch_bounds(T: int, sigma: int) -> list[tuple[int, int]]:
 
 def run_restarting(
     env,
-    params: RestartParams,
+    sigma: int,
     policy_params: PolicyParams,
     model: DriftModel,
     rng: Random,
-    totals: RunTotals | None = None,
+    totals: Totals = Totals(),
     curves: CurveRecorder | None = None,
-) -> RunTotals:
-    """Incentivized run with a policy restart at every batch boundary.
+) -> Totals:
+    """Incentivized run with a policy restart every ``sigma`` steps.
 
-    With ``sigma >= T`` there is a single batch and the run is identical,
-    draw for draw, to the plain incentivized loop.  The step records of a
+    Returns ``totals`` plus the sums over the run.  With ``sigma >= T``
+    there is a single batch and the run is identical, draw for draw, to the
+    plain incentivized loop.  The step records of a
     ``CurveRecorder(steps=True)`` carry the batch index in ``batch``.
     """
-    if params.sigma is None:
-        raise ValueError("run_restarting needs sigma; derive it with batch_size")
-    T = env.schedule.T
-    K = env.schedule.K
-    if totals is None:
-        totals = RunTotals()
-    for j, (start, stop) in enumerate(batch_bounds(T, params.sigma), start=1):
-        policy = make_policy(policy_params, K)
-        run_segment(policy, env, start, stop, model, rng, totals, curves, batch=j)
+    for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
+        policy = make_policy(policy_params, env.schedule.K)
+        totals = run_segment(policy, env, start, stop, model, rng, totals, curves, j)
     return totals

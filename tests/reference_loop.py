@@ -3,25 +3,20 @@
 This is the oracle the fused kernels of ``driftbandits.incentive`` are tested
 against: it calls ``recommend``/``greedy_arm``/``estimate``/``observe`` and
 ``DriftModel.apply`` once per step, so it runs any policy or drift type,
-subclasses included.  It takes ``run_segment``'s arguments and writes the
-same totals, curves and step records.
+subclasses included.  It takes ``run_segment``'s arguments, returns the same
+totals and writes the same curves and step records.
 """
 
-from driftbandits.incentive import RunTotals, StepOutcome
+from driftbandits.incentive import StepOutcome, Totals
 
 
 def reference_segment(
-    policy, env, t_start, t_end, model, rng, totals=None, curves=None, batch=1
-) -> RunTotals:
+    policy, env, t_start, t_end, model, rng, totals=Totals(), curves=None, batch=1
+) -> Totals:
     sched = env.schedule
-    if totals is None:
-        totals = RunTotals()
     rows = sched.rows
     best = sched.best_mean
-    pseudo = totals.pseudo_regret
-    realized = totals.realized_regret
-    comp_sum = totals.compensation
-    reward_sum = totals.true_reward
+    pseudo, realized, comp_sum, reward_sum = totals
     for t in range(t_start, t_end + 1):
         a = policy.recommend(rng)
         if policy.t >= policy.K:
@@ -45,17 +40,13 @@ def reference_segment(
         comp_sum += chi
         reward_sum += x
         if curves is not None:
-            curves.cum_pseudo.append(pseudo)
-            curves.cum_realized.append(realized)
-            curves.cum_comp.append(comp_sum)
-            curves.cum_reward.append(reward_sum)
+            curves.pseudo_regret.append(pseudo)
+            curves.realized_regret.append(realized)
+            curves.compensation.append(comp_sum)
+            curves.true_reward.append(reward_sum)
             if curves.steps is not None:
                 curves.steps.append(StepOutcome(
                     t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
                 ))
 
-    totals.pseudo_regret = pseudo
-    totals.realized_regret = realized
-    totals.compensation = comp_sum
-    totals.true_reward = reward_sum
-    return totals
+    return Totals(pseudo, realized, comp_sum, reward_sum)

@@ -171,12 +171,36 @@ def test_unknown_reproduce_target_exits_2():
 
 
 def test_scaling_needs_three_horizons(tmp_path, capsys):
-    for horizons in ("100,200", "100,100,100"):  # three distinct ones
+    for horizons in ("100,200", "100,100,100", "100,100,200,400"):  # all distinct
         code = main(["scaling", "--family", "flip", "--policy", "ucb1",
                      "--horizons", horizons, "--out", str(tmp_path / "o"),
                      "--reps", "1"])
         assert code == 2
         assert "horizons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce"])
+def test_traced_config_without_a_trace_file_exits_2(tiny_config, tmp_path, capsys,
+                                                     command):
+    # only `run` writes trace.csv; the others refuse a traced config
+    # rather than run it untraced
+    head = (["sweep", "--config", str(tiny_config), "--grid", "10,15"]
+            if command == "sweep" else ["reproduce", "fig2"])
+    code = main([*head, "--set", "trace=true", "--set", "reps=1",
+                 "--set", "env.T=100", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error: trace:" in capsys.readouterr().err
+
+
+def test_flip_too_short_for_its_segments_exits_2(tmp_path, capsys):
+    # floor(T / segments) = 1 would put a breakpoint at step 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"kind": "flip", "T": 3, "segments": 2},
+                                "policy": {"kind": "ucb1"}}))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: env: T=3 is too short for 2 segments" in err
 
 
 DRIFT_OVERFLOW = {

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbandits.env import (
-    DriftingEnvironment,
     MeanSchedule,
     make_flip_env,
     make_sinusoidal_env,
@@ -39,7 +38,7 @@ class TestFlipEnv:
         "T,p,hi,lo",
         [(100, 0, 0.9, 0.1), (100, -2, 0.9, 0.1), (3, 4, 0.9, 0.1),
          (100, 2, 1.2, 0.1), (100, 2, 0.9, -0.1), (100, 2, 0.5, 0.5),
-         (100, 2, 0.1, 0.9)],
+         (100, 2, 0.1, 0.9), (3, 2, 0.9, 0.1)],
     )
     def test_rejects_bad_parameters(self, T, p, hi, lo):
         with pytest.raises(ValueError):
@@ -69,7 +68,7 @@ class TestFlipEnv:
 class TestSinusoidalEnv:
     def test_full_horizon_budget_nearly_exhausted(self):
         env = make_sinusoidal_env(5000, 3.0, 0.3, 1.0)
-        assert 2.85 <= env.measured_variation <= 3.0
+        assert 2.85 <= variation_of(env) <= 3.0
 
     def test_variation_spent_in_first_third(self):
         env = make_sinusoidal_env(5000, 3.0, 0.3, 1.0 / 3.0)
@@ -80,7 +79,7 @@ class TestSinusoidalEnv:
 
     def test_zero_budget_is_constant(self):
         env = make_sinusoidal_env(100, 0.0, 0.3, 1.0)
-        assert env.measured_variation == 0.0
+        assert variation_of(env) == 0.0
         assert np.all(env.schedule.means == 0.5)
 
     def test_rejects_unreachable_budget(self):
@@ -103,8 +102,8 @@ class TestSinusoidalEnv:
     @pytest.mark.parametrize("rho", [0.25, 1.0 / 3.0, 1.0])
     def test_budget_never_exceeded(self, budget, rho):
         env = make_sinusoidal_env(5000, budget, 0.3, rho)
-        assert env.measured_variation <= budget
-        assert env.measured_variation >= 0.95 * budget
+        assert variation_of(env) <= budget
+        assert variation_of(env) >= 0.95 * budget
 
     def test_antiphase_arms_centered(self):
         env = make_sinusoidal_env(1000, 2.0, 0.4, 1.0)
@@ -176,7 +175,7 @@ class TestVariation:
     def test_budget_invariant_holds_for_generated(self):
         for budget in (1.5, 3.0, 6.0):
             env = make_sinusoidal_env(2000, budget, 0.25, 1.0)
-            assert isinstance(env, DriftingEnvironment)
+            assert env.budget == budget
             assert variation_of(env) <= env.budget
 
 

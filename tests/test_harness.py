@@ -290,8 +290,8 @@ class TestReplication:
 
     def test_curves_are_cumulative_and_monotone(self):
         res = run_replication(small_config(), 0, collect_curves=True)
-        cp = res.curves["cum_pseudo_regret"]
-        cc = res.curves["cum_compensation"]
+        cp = res.curves["pseudo_regret"]
+        cc = res.curves["compensation"]
         assert cp.shape == (300,)
         assert np.all(np.diff(cp) >= 0)
         assert np.all(np.diff(cc) >= 0)
@@ -451,7 +451,8 @@ class TestScaling:
             fit_loglog([100, 100, 100], [1.0, 2.0, 3.0])
 
     def test_probe_requires_three_horizons(self):
-        for horizons in ([100, 200], [100, 100, 100], [100, 200, 200]):
+        for horizons in ([100, 200], [100, 100, 100], [100, 200, 200],
+                         [100, 100, 200, 400]):
             with pytest.raises(ConfigError, match="horizons"):
                 scaling_probe("flip", horizons, reps=1)
 

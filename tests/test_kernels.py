@@ -13,7 +13,7 @@ import pytest
 
 from driftbandits.env import make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
-from driftbandits.incentive import CurveRecorder, DriftModel, RunTotals, run_segment
+from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
 from driftbandits.policy import POLICY_KINDS, PolicyParams, Ucb1Policy, make_policy
 from driftbandits.restart import batch_bounds, batch_size
 from reference_loop import reference_segment
@@ -46,19 +46,14 @@ MODELS = {
 def run(kind, env, sigma, model, seed, segment, mode):
     """Run every restart batch through ``segment``; per-batch policy states."""
     rng = random.Random(seed)
-    totals = RunTotals()
+    totals = Totals()
     curves = None if mode == "summary" else CurveRecorder(steps=mode == "steps")
     states = []
     for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
         policy = make_policy(params_for(kind), env.schedule.K)
-        segment(policy, env, start, stop, model, rng, totals, curves, j)
+        totals = segment(policy, env, start, stop, model, rng, totals, curves, j)
         states.append(policy.state_json())
     return totals, curves, states, rng.random()
-
-
-def as_tuple(totals):
-    return (totals.pseudo_regret, totals.realized_regret, totals.compensation,
-            totals.true_reward)
 
 
 @pytest.mark.parametrize("mode", ["summary", "curves", "steps"])
@@ -70,18 +65,19 @@ def test_kernel_matches_reference(kind, env_name, model_name, mode):
     model = MODELS[model_name]
     fast = run(kind, env, sigma, model, 17, run_segment, mode)
     ref = run(kind, env, sigma, model, 17, reference_segment, mode)
-    assert as_tuple(fast[0]) == as_tuple(ref[0])
+    assert type(fast[0]) is type(ref[0]) is Totals
+    assert fast[0] == ref[0]
     assert fast[2] == ref[2]  # policy state after every batch
     assert fast[3] == ref[3]  # same number of draws consumed
     if mode != "summary":
-        for name in ("cum_pseudo", "cum_realized", "cum_comp", "cum_reward"):
+        for name in Totals._fields:
             assert getattr(fast[1], name) == getattr(ref[1], name)
         assert fast[1].steps == ref[1].steps
     if mode == "steps":
         firsts = fast[1].steps[::sigma]  # the first step of every batch
         assert [o.batch for o in firsts] == list(range(1, len(firsts) + 1))
         assert len(fast[1].steps) == T
-    assert as_tuple(fast[0])[2] > 0.0  # compensation was paid
+    assert fast[0].compensation > 0.0  # compensation was paid
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
@@ -93,15 +89,14 @@ def test_kernel_resumes_a_reference_run(kind):
     for switch in (None, k):
         rng = random.Random(3)
         policy = make_policy(params_for(kind), 2)
-        totals = RunTotals()
         curves = CurveRecorder()
         if switch is None:
-            reference_segment(policy, env, 1, T, model, rng, totals, curves)
+            totals = reference_segment(policy, env, 1, T, model, rng, Totals(), curves)
         else:
-            reference_segment(policy, env, 1, k, model, rng, totals, curves)
-            run_segment(policy, env, k + 1, T, model, rng, totals, curves)
+            totals = reference_segment(policy, env, 1, k, model, rng, Totals(), curves)
+            totals = run_segment(policy, env, k + 1, T, model, rng, totals, curves)
         results.append(
-            (as_tuple(totals), curves.cum_comp, policy.state_json(), rng.random())
+            (totals, curves.compensation, policy.state_json(), rng.random())
         )
     assert results[0] == results[1]
 

@@ -73,17 +73,12 @@ class TestBatchBounds:
 
 
 class TestRunRestarting:
-    def test_unset_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            run_restarting(make_flip_env(10, 2, 0.9, 0.1), RestartParams(lam=1.0),
-                           PolicyParams(kind="ucb1"), DriftModel(), random.Random(0))
-
     def test_three_batches_three_roundrobins(self):
         env = make_flip_env(10, 2, 0.9, 0.1)
         curves = CurveRecorder(steps=True)
         run_restarting(
             env,
-            RestartParams(sigma=4),
+            4,
             PolicyParams(kind="ucb1"),
             DriftModel("linear", 0.1),
             random.Random(0),
@@ -102,7 +97,7 @@ class TestRunRestarting:
 
         curves_restart = CurveRecorder(steps=True)
         totals_restart = run_restarting(
-            env, RestartParams(sigma=600), params, model,
+            env, 600, params, model,
             random.Random(77), curves=curves_restart,
         )
         curves_plain = CurveRecorder(steps=True)
@@ -118,7 +113,7 @@ class TestRunRestarting:
         curves = CurveRecorder(steps=True)
         run_restarting(
             env,
-            RestartParams(sigma=361),
+            361,
             PolicyParams(kind="ucb1"),
             DriftModel("linear", 0.1),
             random.Random(1),
@@ -152,7 +147,7 @@ class TestRunRestarting:
         try:
             run_restarting(
                 env,
-                RestartParams(sigma=5),
+                5,
                 PolicyParams(kind="ucb1"),
                 DriftModel("linear", 0.0),
                 random.Random(0),
