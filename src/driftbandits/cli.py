@@ -5,7 +5,7 @@ Subcommands:
 * ``run``        one experiment from a JSON config; writes ``summary.json``
 * ``sweep``      grid the policy's tuning constant; writes the table + best
 * ``scaling``    log-log slope of mean regret/compensation against T
-* ``reproduce``  preset experiments compared against built-in reference
+* ``reproduce``  the harness presets compared against built-in reference
                  values (``table2``/``table3``) or emitted as plot data
                  (``fig2``..``fig5``)
 
@@ -23,26 +23,21 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_DRIFT_L,  # noqa: F401 - re-exported as cli.DEFAULT_DRIFT_L
+    DEFAULT_SEED,
+    FIG2_TUNING,
     ConfigError,
-    EnvSpec,
     ExperimentConfig,
+    flip_config,
+    preset_policy,
     run_experiment,
     scaling_probe,
+    sinusoidal_config,
     sweep,
     write_summary_json,
 )
-from .incentive import DriftModel
 from .policy import POLICY_KINDS, PolicyParams
-from .restart import RestartParams
 from .svgplot import render_lines_svg
-
-# Default linear drift slope for the preset experiments.  The reference
-# results do not pin the drift function; this value was calibrated against
-# the reference tables and sits inside the sensitivity band swept by
-# tests/test_acceptance.py.
-DEFAULT_DRIFT_L = 0.4
-
-DEFAULT_SEED = 20240601
 
 # Reference results for the abrupt flip environment (T=5000, 100 reps),
 # per breakpoint count: tuning constants and mean regret/compensation of
@@ -78,59 +73,10 @@ TABLE3_REFERENCE = {
 }
 
 
-def flip_config(
-    beta: int,
-    policy: PolicyParams,
-    T: int = 5000,
-    reps: int = 100,
-    base_seed: int = DEFAULT_SEED,
-    drift_l: float = DEFAULT_DRIFT_L,
-) -> ExperimentConfig:
-    """Preset abrupt-environment experiment with ``beta`` breakpoints."""
-    return ExperimentConfig(
-        env=EnvSpec(kind="flip", T=T, segments=beta + 1, hi=0.99, lo=0.01),
-        policy=policy,
-        drift=DriftModel("linear", drift_l),
-        restart=None,
-        reps=reps,
-        base_seed=base_seed,
-    )
-
-
-def sinusoidal_config(
-    budget: float,
-    policy: PolicyParams,
-    T: int = 5000,
-    reps: int = 2000,
-    base_seed: int = DEFAULT_SEED,
-    drift_l: float = DEFAULT_DRIFT_L,
-    active_fraction: float = 1.0,
-    lam: float = 1.0,
-) -> ExperimentConfig:
-    """Preset drifting-environment experiment under the restart scheduler."""
-    return ExperimentConfig(
-        env=EnvSpec(
-            kind="sinusoidal",
-            T=T,
-            budget=budget,
-            amplitude=0.3,
-            active_fraction=active_fraction,
-        ),
-        policy=policy,
-        drift=DriftModel("linear", drift_l),
-        restart=RestartParams(sigma=None, lam=lam),
-        reps=reps,
-        base_seed=base_seed,
-    )
-
-
 def table2_policies(beta: int) -> dict:
     row = TABLE2_REFERENCE[beta]
-    return {
-        "U": PolicyParams(kind="ucb1"),
-        "S": PolicyParams(kind="swucb", tau_c=row["tau_c"]),
-        "D": PolicyParams(kind="ducb", gamma_c=row["gamma_c"]),
-    }
+    return {tag: preset_policy(kind, row)
+            for tag, kind in (("U", "ucb1"), ("S", "swucb"), ("D", "ducb"))}
 
 
 # The reference experiments never state the scheduler constant lam (the
@@ -143,13 +89,9 @@ TABLE3_PRESETS = {
 }
 
 
-def _abrupt_figure(gamma_c: float, tau_c: float) -> list:
-    policies = (
-        PolicyParams(kind="ucb1"),
-        PolicyParams(kind="ducb", gamma_c=gamma_c),
-        PolicyParams(kind="swucb", tau_c=tau_c),
-    )
-    return [(None, pol.kind, flip_config(1, pol)) for pol in policies]
+def _abrupt_figure(tuning: dict) -> list:
+    return [(None, kind, flip_config(1, preset_policy(kind, tuning)))
+            for kind in ("ucb1", "ducb", "swucb")]
 
 
 _DRIFT_FIGURE = [
@@ -171,9 +113,8 @@ REPRODUCE_PRESETS = {
         for budget in TABLE3_BUDGETS
         for tag, (pol, lam) in TABLE3_PRESETS.items()
     ],
-    # tuning constants follow the reference table's single-breakpoint row
-    "fig2": _abrupt_figure(gamma_c=15.0, tau_c=1.0),
-    "fig3": _abrupt_figure(gamma_c=40.0, tau_c=1.0),
+    "fig2": _abrupt_figure(FIG2_TUNING),
+    "fig3": _abrupt_figure({"gamma_c": 40.0, "tau_c": 1.0}),
     "fig4": _DRIFT_FIGURE,
     "fig5": _DRIFT_FIGURE,
 }
@@ -197,9 +138,10 @@ FIGURE_CURVES = {
 }
 
 
-def _parse_assignments(pairs) -> dict:
+def _overrides(args) -> dict:
+    """The ``--set KEY=VALUE`` assignments, plus ``--seed`` as ``base_seed``."""
     out = {}
-    for item in pairs or ():
+    for item in args.set or ():
         if "=" not in item:
             raise ConfigError(item, "--set expects KEY=VALUE")
         key, _, raw = item.partition("=")
@@ -210,6 +152,8 @@ def _parse_assignments(pairs) -> dict:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw  # bare strings (e.g. kind names) pass through
+    if args.seed is not None:
+        out["base_seed"] = args.seed
     return out
 
 
@@ -218,12 +162,7 @@ def _load_config(args) -> ExperimentConfig:
         text = Path(args.config).read_text()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-    config = ExperimentConfig.from_json(text)
-    assignments = _parse_assignments(args.set)
-    if getattr(args, "seed", None) is not None:
-        assignments["base_seed"] = args.seed
-    if assignments:
-        config = config.with_overrides(assignments)
+    config = ExperimentConfig.from_json(text).with_overrides(_overrides(args))
     config.resolve()  # fail fast on semantic errors
     return config
 
@@ -276,7 +215,6 @@ def cmd_scaling(args) -> int:
         policy_kind=args.policy,
         reps=args.reps,
         base_seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        drift_l=DEFAULT_DRIFT_L,
         workers=args.workers,
     )
     out = _outdir(args)
@@ -308,14 +246,11 @@ def _write_curve_csv(path, mean_arr, stderr_arr) -> None:
 def cmd_reproduce(args) -> int:
     out = _outdir(args)
     target = args.target
-    overrides = _parse_assignments(args.set)
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
+    overrides = _overrides(args)
     curves = FIGURE_CURVES.get(target)
     rows, series = [], {}
     for row, label, config in REPRODUCE_PRESETS[target]:
-        if overrides:
-            config = config.with_overrides(overrides)
+        config = config.with_overrides(overrides)
         summary = run_experiment(
             config, workers=args.workers, collect_curves=curves is not None
         )
@@ -380,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
+    def common(p, config=True, overrides=True):
+        if config:
             p.add_argument("--config", required=True, help="experiment config JSON")
+        if overrides:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config key (dotted path)")
         p.add_argument("--out", default="out", help="output directory")
@@ -401,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scaling = sub.add_parser("scaling", help="log-log growth against T")
-    common(p_scaling, config_required=False)
+    common(p_scaling, config=False, overrides=False)
     p_scaling.add_argument("--family", choices=("flip", "sinusoidal"), required=True)
     p_scaling.add_argument("--policy", default="ducb", choices=POLICY_KINDS)
     p_scaling.add_argument("--horizons", required=True, type=_number_list(int),
@@ -411,11 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="rerun the reference experiments")
     p_rep.add_argument("target", choices=tuple(REPRODUCE_PRESETS))
-    p_rep.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override preset config keys (e.g. reps=10)")
-    p_rep.add_argument("--out", default="out")
-    p_rep.add_argument("--workers", type=_positive_int, default=1)
-    p_rep.add_argument("--seed", type=int, default=None)
+    common(p_rep, config=False)
     p_rep.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -291,3 +291,30 @@ def test_reproduce_outputs_are_idempotent(tmp_path):
                      "--out", str(out)]) == 0
         blobs.append((out / "fig2_ducb_regret.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("config, kind, switched", [
+    ("sinusoidal_v3.json", "policy.kind=ucb1", {"kind": "ucb1"}),
+    ("flip_b1.json", "env.kind=sinusoidal",
+     {"kind": "sinusoidal", "T": 5000, "budget": 3.0, "amplitude": 0.3,
+      "active_fraction": 1.0}),
+])
+def test_set_switches_a_section_kind(tmp_path, config, kind, switched):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / config), "--out", str(out),
+                 "--set", kind, "--set", "reps=1"]) == 0
+    section = kind.split(".")[0]
+    d = json.loads((out / "summary.json").read_text())
+    assert d["config"][section] == switched
+
+
+def test_set_kind_switch_refuses_a_named_foreign_key(tmp_path, capsys):
+    code = main(["run", "--config", str(CONFIGS / "sinusoidal_v3.json"),
+                 "--out", str(tmp_path / "o"), "--set", "policy.kind=ucb1",
+                 "--set", "policy.prior_a=2.0"])
+    assert code == 2
+    assert "policy.prior_a" in capsys.readouterr().err
+

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftbandits.env import MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import (
     _SCHEMA,
     ConfigError,
@@ -20,7 +19,6 @@ from driftbandits.harness import (
     TRACE_HEADER,
     build_env,
     fit_loglog,
-    gap_diagnostic,
     pool_plan,
     run_experiment,
     run_replication,
@@ -212,11 +210,55 @@ class TestConfig:
         assert err.value.key == f"{section}.{bad}"
 
     def test_policy_requires_tuning_or_explicit(self):
+        for kind, key in (("ducb", "policy.gamma"), ("swucb", "policy.tau")):
+            d = small_config().to_dict()
+            d["policy"] = {"kind": kind}
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(d)
+            assert err.value.key == key
+            # the same refusal holds for a config built in code
+            with pytest.raises(ConfigError) as err:
+                small_config(policy=PolicyParams(kind=kind))
+            assert err.value.key == key
+
+    def test_code_built_config_runs_on_defaults(self):
+        config = ExperimentConfig(EnvSpec(kind="flip", T=100), PolicyParams(kind="ucb1"),
+                                  DriftModel(), None, 2, 0)
+        summary = run_experiment(config)
+        assert all(math.isfinite(v) for v in summary.mean.values())
+
+    @pytest.mark.parametrize("d, built", [
+        ({"env": {"kind": "flip", "T": 100}, "policy": {"kind": "ucb1"}},
+         ExperimentConfig(EnvSpec(kind="flip", T=100), PolicyParams(kind="ucb1"))),
+        ({"env": {"kind": "sinusoidal", "T": 100}, "restart": {},
+          "policy": {"kind": "ducb", "gamma_c": 15.0}},
+         ExperimentConfig(EnvSpec(kind="sinusoidal", T=100),
+                          PolicyParams(kind="ducb", gamma_c=15.0),
+                          restart=RestartParams())),
+    ])
+    def test_minimal_dict_takes_the_dataclass_defaults(self, d, built):
+        assert ExperimentConfig.from_dict(d) == built
+
+    def test_saturating_drift_without_cap_named(self):
         d = small_config().to_dict()
-        d["policy"] = {"kind": "ducb"}
+        d["drift"] = {"kind": "saturating", "l": 0.4}
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(d)
-        assert "policy.gamma" in str(err.value)
+        assert err.value.key == "drift.cap"
+        with pytest.raises(ConfigError) as err:
+            small_config().with_overrides({"drift.kind": "saturating"})
+        assert err.value.key == "drift.cap"
+
+    def test_overrides_switch_a_section_kind(self):
+        config = small_config(policy=PolicyParams(kind="thompson", prior_a=2.0))
+        new = config.with_overrides({"policy.kind": "ucb1"})
+        assert new.policy == PolicyParams(kind="ucb1")
+        new = config.with_overrides({"env.kind": "sinusoidal", "env.budget": 2.0})
+        assert new.env == EnvSpec(kind="sinusoidal", T=300, budget=2.0)
+        # a key the new kind lacks is still refused when it is named
+        with pytest.raises(ConfigError) as err:
+            config.with_overrides({"policy.kind": "ucb1", "policy.prior_a": 2.0})
+        assert err.value.key == "policy.prior_a"
 
     def test_overrides_nested_and_restart_creation(self):
         config = small_config()
@@ -427,8 +469,9 @@ class TestSweep:
         assert len(res.points) == 2
 
     def test_sweep_rejects_untunable_policies(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             sweep(small_config(policy=PolicyParams(kind="ucb1")), values=[1.0])
+        assert err.value.key == "policy.kind"
 
 
 class TestScaling:
@@ -465,52 +508,6 @@ class TestScaling:
         assert math.isfinite(report.regret_slope)
 
 
-class TestGapDiagnostic:
-    def test_flip_env_constant_gap(self):
-        env = make_flip_env(5000, 2, 0.99, 0.01)
-        diag = gap_diagnostic(env, sigma=2500, epsilon=0.05)
-        assert diag.delta.shape == (2, 2)
-        assert diag.m_hat == pytest.approx(0.98, abs=1e-12)
-        # every step one ordered pair is 0.98 apart, the other -0.98
-        assert diag.near_tie_count == 5000
-        assert diag.alpha == pytest.approx(math.log(5000) / math.log(5000))
-
-    def test_identical_arms_tie_everywhere(self):
-        sched = MeanSchedule(np.full((100, 2), 0.5))
-        diag = gap_diagnostic(sched, sigma=10, epsilon=0.0)
-        assert diag.m_hat == 0.0
-        assert diag.near_tie_count == 100 * 2 * 1
-
-    def test_matches_bruteforce_on_sinusoidal(self):
-        env = make_sinusoidal_env(400, 2.0, 0.3, 1.0)
-        sigma, eps = 91, 0.05
-        diag = gap_diagnostic(env, sigma=sigma, epsilon=eps)
-        means = env.schedule.means
-        T, K = means.shape
-        count = sum(
-            1
-            for t in range(T)
-            for a in range(K)
-            for b in range(K)
-            if a != b and means[t, a] - means[t, b] <= eps
-        )
-        assert diag.near_tie_count == count
-        m = math.ceil(T / sigma)
-        for j in range(m):
-            lo, hi = j * sigma, min(T, (j + 1) * sigma)
-            for a in range(K):
-                expect = sum(means[t].max() - means[t, a] for t in range(lo, hi)) / sigma
-                assert diag.delta[j, a] == pytest.approx(expect, abs=1e-12)
-
-    def test_zero_near_ties_alpha_zero(self):
-        means = np.zeros((50, 2))
-        means[:, 0] = 0.9
-        means[:, 1] = 0.1
-        diag = gap_diagnostic(MeanSchedule(means), sigma=10, epsilon=-0.0)
-        # only the (worse, better) ordered pairs satisfy the signed condition
-        assert diag.near_tie_count == 50
-
-
 # Config dicts from the schema table: every section and kind, with keys left
 # out or set to None, zero, negative, tiny, huge or ordinary numbers.
 NUMBERS = st.one_of(
@@ -521,7 +518,7 @@ NUMBERS = st.one_of(
 
 
 def config_section(name, **fixed):
-    kinds = _SCHEMA[name][2]
+    kinds = _SCHEMA[name][1]
 
     def build(kind):
         keys = {k: fixed.get(k, NUMBERS) for k in kinds[kind]}
