@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -33,9 +34,16 @@ from functools import lru_cache
 import numpy as np
 
 from .env import make_flip_env, make_sinusoidal_env, variation_of
-from .incentive import CurveRecorder, DriftModel, Totals, run_incentivized
+from .incentive import (
+    LOCKSTEP_KINDS,
+    CurveRecorder,
+    DriftModel,
+    Totals,
+    run_block,
+    run_incentivized,
+)
 from .policy import PolicyParams, make_policy
-from .restart import RestartParams, batch_size, run_restarting
+from .restart import RestartParams, batch_bounds, batch_size, run_restarting
 from .seeding import make_rng, rep_seed
 
 __all__ = [
@@ -492,8 +500,43 @@ def run_replication(
     return ReplicationResult(*totals, curves, recorder.steps if collect_trace else None)
 
 
+def _run_lockstep(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
+    """The replications ``rep_indices`` as one lockstep block, or ``None``
+    when a step check failed."""
+    resolved = config.resolve()
+    T = resolved.T
+    batches = [(1, T)] if resolved.sigma is None else batch_bounds(T, resolved.sigma)
+    rngs = [make_rng(config.base_seed, rep) for rep in rep_indices]
+    out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
+                    rngs, batches, collect_curves)
+    if out is None:
+        return None
+    totals, curves = out
+    return [
+        ReplicationResult(*totals[:, i].tolist(), curves=None if curves is None else {
+            name: curves[k, :, i] for k, name in enumerate(METRIC_NAMES)})
+        for i in range(len(rep_indices))
+    ]
+
+
+def _chunk_results(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
+    """The replications ``rep_indices``, in order.
+
+    A block of at least ``LOCKSTEP_MIN`` UCB-family reps runs in lockstep;
+    if a step check fails there, the block reruns on the scalar kernels,
+    which raise as they always do.
+    """
+    if len(rep_indices) >= LOCKSTEP_MIN and config.policy.kind in LOCKSTEP_KINDS:
+        results = _run_lockstep(config, rep_indices, collect_curves)
+        if results is not None:
+            yield from results
+            return
+    for rep in rep_indices:
+        yield run_replication(config, rep, collect_curves)
+
+
 def _run_chunk(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
-    return [run_replication(config, rep, collect_curves) for rep in rep_indices]
+    return list(_chunk_results(config, rep_indices, collect_curves))
 
 
 @dataclass
@@ -534,21 +577,52 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(n))
 
 
+# Block sizes, measured on 2 cores (README "Performance").  A block of at
+# least LOCKSTEP_MIN UCB-family reps runs in lockstep.  A lockstep run is
+# split over the pool only when every piece gets at least its split size, and
+# cut into blocks of at most its largest block; both depend on whether the
+# run collects curves, whose arrays cross the pool and grow with the block.
+LOCKSTEP_MIN = 20
+LOCKSTEP_SIZES = {False: (64, 256), True: (256, 128)}  # curves -> (split, largest)
+
+
 def pool_plan(
-    reps: int, workers: int, cpus: int, collect_curves: bool
+    reps: int, workers: int, cpus: int, collect_curves: bool, lockstep: bool = False
 ) -> tuple[int, list]:
     """Pool size and the rep-index chunks it runs, in submission order.
 
     ``workers`` is clamped to ``cpus`` before sizing the chunks, and the pool
     to the number of chunks, so a large request starts no more processes
-    than can run at once.  A pool size of 1 means: run in-process.
+    than can run at once.  A pool size of 1 means: run in-process.  A
+    ``lockstep`` run gets a few large blocks of near-equal size, as many for
+    each pool process.
     """
     workers = min(workers, cpus)
+    if lockstep and reps >= LOCKSTEP_MIN:
+        split, most = LOCKSTEP_SIZES[collect_curves]
+        pool = max(1, min(workers, reps // split))
+        blocks = pool * math.ceil(math.ceil(reps / most) / pool)
+        cuts = [reps * i // blocks for i in range(blocks + 1)]
+        return pool, [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
     chunk = max(1, math.ceil(reps / (workers * 4)))
     if collect_curves:
         chunk = min(chunk, 64)
     ranges = [list(range(i, min(i + chunk, reps))) for i in range(0, reps, chunk)]
     return max(1, min(workers, len(ranges))), ranges
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drain(futures: deque):
+    """Each chunk's results in submission order; a chunk is dropped once read."""
+    while futures:
+        yield from futures.popleft().result()
 
 
 def run_experiment(
@@ -571,23 +645,24 @@ def run_experiment(
         raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
     resolved = config.resolve()  # validate before spawning anything
     reps = config.reps
-    pool, ranges = pool_plan(reps, workers, os.cpu_count() or 1, collect_curves)
+    lockstep = config.policy.kind in LOCKSTEP_KINDS
+    pool, ranges = pool_plan(reps, workers, _cpu_count(), collect_curves, lockstep)
     values = {name: np.empty(reps) for name in METRIC_NAMES}
     curve_sum = curve_sumsq = None
     with ExitStack() as stack:
         if config.trace:
             writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
             writer.writerow(TRACE_HEADER.split(","))
-        if config.trace or pool == 1:
             results = (
-                run_replication(config, rep, collect_curves, config.trace)
-                for rep in range(reps)
+                run_replication(config, rep, collect_curves, True) for rep in range(reps)
             )
+        elif pool == 1:
+            results = (res for r in ranges for res in _chunk_results(config, r, collect_curves))
         else:
             ex = stack.enter_context(ProcessPoolExecutor(max_workers=pool))
-            futures = [ex.submit(_run_chunk, config, r, collect_curves) for r in ranges]
             # submission order => deterministic reduction
-            results = (res for fut in futures for res in fut.result())
+            results = _drain(deque(
+                ex.submit(_run_chunk, config, r, collect_curves) for r in ranges))
         for rep, res in enumerate(results):
             for name in METRIC_NAMES:
                 values[name][rep] = getattr(res, name)

@@ -9,6 +9,7 @@ import pytest
 
 import driftbandits
 from driftbandits.cli import main
+from driftbandits.harness import LOCKSTEP_MIN, LOCKSTEP_SIZES
 
 
 @pytest.fixture
@@ -215,6 +216,18 @@ DRIFT_OVERFLOW = {
                     "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10},
                     "reps": 3},
                    "drift: l * cap must be finite"),
+    # the same two on UCB-family policies, at rep counts that run lockstep
+    # blocks, on the pool when workers=2
+    "linear_lockstep": ({"env": {"kind": "flip", "T": 5000, "segments": 4},
+                         "policy": {"kind": "swucb", "tau_c": 1.0},
+                         "drift": {"kind": "linear", "l": 1e300},
+                         "reps": 2 * LOCKSTEP_SIZES[False][0]},
+                        "drift.l: drift overflows at run time"),
+    "saturating_lockstep": ({"env": {"kind": "flip", "T": 500, "segments": 4},
+                             "policy": {"kind": "ucb1"},
+                             "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10},
+                             "reps": LOCKSTEP_MIN},
+                            "drift: l * cap must be finite"),
 }
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driftbandits.harness as harness
 from driftbandits.harness import (
     _SCHEMA,
+    LOCKSTEP_MIN,
     ConfigError,
     EnvSpec,
     ExperimentConfig,
@@ -20,6 +23,7 @@ from driftbandits.harness import (
     build_env,
     fit_loglog,
     pool_plan,
+    preset_policy,
     run_experiment,
     run_replication,
     scaling_probe,
@@ -424,6 +428,68 @@ class TestExperiment:
             assert all(b >= a for a, b in zip(cum_c, cum_c[1:]))
 
 
+def summary_facts(summary):
+    """Everything a summary reports, in comparable form."""
+    curves = None
+    if summary.curve_mean is not None:
+        curves = {k: (summary.curve_mean[k].tolist(), summary.curve_stderr[k].tolist())
+                  for k in summary.curve_mean}
+    return (json.dumps(summary.to_json_dict(), sort_keys=True),
+            {k: v.tolist() for k, v in summary.rep_values.items()}, curves)
+
+
+def scalar_only(monkeypatch):
+    """Run every block on the scalar kernels."""
+    monkeypatch.setattr(harness, "LOCKSTEP_MIN", 10**9)
+
+
+class TestLockstep:
+    """Lockstep blocks give every replication its scalar-kernel numbers."""
+
+    @pytest.mark.parametrize("reps", [LOCKSTEP_MIN - 1, LOCKSTEP_MIN, LOCKSTEP_MIN + 5],
+                             ids=["below", "at", "above"])
+    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb"])
+    def test_block_sizes_around_the_crossover(self, kind, reps, monkeypatch):
+        config = small_config(policy=preset_policy(kind), reps=reps)
+        lockstep = summary_facts(run_experiment(config, collect_curves=True))
+        scalar_only(monkeypatch)
+        assert lockstep == summary_facts(run_experiment(config, collect_curves=True))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("curves", [False, True])
+    def test_reps_not_a_multiple_of_the_block_size(self, curves, workers, monkeypatch):
+        # blocks of at most 25 reps, split over the pool from 2 * 21 reps
+        monkeypatch.setattr(harness, "LOCKSTEP_SIZES", {False: (21, 25), True: (21, 25)})
+        config = small_config(
+            env=EnvSpec(kind="sinusoidal", T=400, budget=4.0), policy=preset_policy("ucb1"),
+            restart=RestartParams(sigma=90), reps=4 * LOCKSTEP_MIN + 7)
+        pool, ranges = pool_plan(config.reps, workers, 2, curves, lockstep=True)
+        assert pool == workers
+        sizes = sorted({len(r) for r in ranges})
+        assert len(sizes) == 2 and sizes[0] >= LOCKSTEP_MIN
+        lockstep = summary_facts(run_experiment(config, workers, collect_curves=curves))
+        scalar_only(monkeypatch)
+        assert lockstep == summary_facts(run_experiment(config, workers, collect_curves=curves))
+
+    def test_block_with_a_failed_check_reruns_on_the_kernels(self, monkeypatch):
+        config = small_config(policy=preset_policy("swucb"), reps=LOCKSTEP_MIN + 1)
+        expected = summary_facts(run_experiment(config, collect_curves=True))
+        calls = []
+        original = harness.run_replication
+        monkeypatch.setattr(harness, "run_block", lambda *args: None)
+        monkeypatch.setattr(harness, "run_replication",
+                            lambda *a: calls.append(a[1]) or original(*a))
+        assert summary_facts(run_experiment(config, collect_curves=True)) == expected
+        assert calls == list(range(config.reps))  # the whole block reran
+
+    def test_drift_overflow_in_a_block_is_refused_as_on_the_kernels(self):
+        config = small_config(env=EnvSpec(kind="flip", T=5000, segments=4),
+                              policy=preset_policy("swucb"),
+                              drift=DriftModel("linear", 1e300), reps=LOCKSTEP_MIN)
+        with pytest.raises(ConfigError, match="drift.l: drift overflows at run time"):
+            run_experiment(config)
+
+
 class TestPoolPlan:
     def test_large_request_clamped_to_cpus(self):
         pool, ranges = pool_plan(100, 10**9, 2, False)
@@ -437,6 +503,54 @@ class TestPoolPlan:
 
     def test_one_cpu_runs_in_process(self):
         assert pool_plan(50, 4, 1, True)[0] == 1
+
+    def test_lockstep_run_is_one_block_until_it_pays_to_split(self):
+        # reproduce fig2's cells: 64 reps with curves on 2 workers
+        assert pool_plan(64, 2, 2, True, lockstep=True) == (1, [list(range(64))])
+        pool, ranges = pool_plan(2000, 2, 2, False, lockstep=True)
+        assert pool == 2
+        assert [len(r) for r in ranges] == [250] * 8
+        assert [rep for r in ranges for rep in r] == list(range(2000))
+
+    def test_lockstep_below_the_crossover_keeps_the_scalar_plan(self):
+        reps = LOCKSTEP_MIN - 1
+        assert pool_plan(reps, 2, 2, False, lockstep=True) == pool_plan(reps, 2, 2, False)
+
+    def test_workers_clamped_to_the_cpu_affinity(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool with one CPU allowed")
+
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        config = small_config(policy=PolicyParams(kind="eps_greedy"), reps=8)
+        assert pool_plan(8, 2, 2, False)[0] == 2  # two CPUs would start a pool
+        run_experiment(config, workers=2)
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        with pytest.raises(AssertionError, match="started a pool"):
+            run_experiment(config, workers=2)
+
+    def test_parent_memory_does_not_grow_with_reps(self, monkeypatch):
+        # eps-greedy runs on the scalar kernels in chunks of at most 64 reps
+        # when curves are on; each chunk's curves are dropped once folded.
+        class UntracedPool(harness.ProcessPoolExecutor):  # trace the parent only
+            def __init__(self, max_workers):
+                super().__init__(max_workers, initializer=tracemalloc.stop)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", UntracedPool)
+
+        def peak(reps):
+            config = small_config(env=EnvSpec(kind="flip", T=100),
+                                  policy=PolicyParams(kind="eps_greedy"), reps=reps)
+            tracemalloc.start()
+            try:
+                run_experiment(config, workers=2, collect_curves=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2048) < 1.5 * peak(512)
 
     def test_run_experiment_rejects_fewer_than_one_worker(self):
         with pytest.raises(ConfigError) as err:

@@ -1,9 +1,12 @@
-"""Fused step kernels against the reference step loop.
+"""Fused step kernels against the reference step loop, and the lockstep
+block engine against the kernels.
 
 ``run_segment`` steps the built-in policies through fused kernels, which
 inline the policy and drift methods; ``reference_loop.reference_segment``
 calls those methods once per step.  The two must agree bit for bit: totals,
 curves, step records, the policy state and the random draws consumed.
+``run_block`` steps many replications of a UCB-family config at once and
+must give every replication the kernels' totals and curves, bit for bit.
 """
 
 import math
@@ -13,9 +16,18 @@ import pytest
 
 from driftbandits.env import make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
-from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
+from driftbandits.incentive import (
+    LOCKSTEP_KINDS,
+    CurveRecorder,
+    DriftModel,
+    Totals,
+    _stream,
+    run_block,
+    run_segment,
+)
 from driftbandits.policy import POLICY_KINDS, PolicyParams, Ucb1Policy, make_policy
 from driftbandits.restart import batch_bounds, batch_size
+from driftbandits.seeding import make_rng
 from reference_loop import reference_segment
 
 T = 3000
@@ -43,14 +55,14 @@ MODELS = {
 }
 
 
-def run(kind, env, sigma, model, seed, segment, mode):
+def run(params, env, sigma, model, seed, segment, mode):
     """Run every restart batch through ``segment``; per-batch policy states."""
     rng = random.Random(seed)
     totals = Totals()
     curves = None if mode == "summary" else CurveRecorder(steps=mode == "steps")
     states = []
     for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
-        policy = make_policy(params_for(kind), env.schedule.K)
+        policy = make_policy(params, env.schedule.K)
         totals = segment(policy, env, start, stop, model, rng, totals, curves, j)
         states.append(policy.state_json())
     return totals, curves, states, rng.random()
@@ -63,8 +75,8 @@ def run(kind, env, sigma, model, seed, segment, mode):
 def test_kernel_matches_reference(kind, env_name, model_name, mode):
     env, sigma = ENVS[env_name]
     model = MODELS[model_name]
-    fast = run(kind, env, sigma, model, 17, run_segment, mode)
-    ref = run(kind, env, sigma, model, 17, reference_segment, mode)
+    fast = run(params_for(kind), env, sigma, model, 17, run_segment, mode)
+    ref = run(params_for(kind), env, sigma, model, 17, reference_segment, mode)
     assert type(fast[0]) is type(ref[0]) is Totals
     assert fast[0] == ref[0]
     assert fast[2] == ref[2]  # policy state after every batch
@@ -153,3 +165,99 @@ def test_types_without_a_kernel_are_refused():
             run_segment(policy, env, 1, T, model, rng)
         assert policy.state_json() == fresh  # refused before any step
         assert rng.random() == random.Random(1).random()
+
+
+# ---------------------------------------------------------------------------
+# The lockstep block engine against the kernels, rep by rep.
+
+BLOCK_SEEDS = (17, 18, 19, 20, 21)
+SIGMAS = {"one_batch": T, "restarts": ENVS["sinusoidal_restarts"][1]}
+
+
+def kernel_reps(params, env, sigma, model, seeds, curves):
+    """Each seed's run on the kernels: its totals and its curve recorder."""
+    mode = "curves" if curves else "summary"
+    return [run(params, env, sigma, model, seed, run_segment, mode)[:2] for seed in seeds]
+
+
+def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
+    rngs = [random.Random(seed) for seed in seeds]
+    totals, block_curves = run_block(
+        params, env, model, rngs, batch_bounds(env.schedule.T, sigma), curves
+    )
+    assert [rng.random() for rng in rngs] == [random.Random(s).random() for s in seeds]
+    for i, (ref, recorder) in enumerate(kernel_reps(params, env, sigma, model, seeds, curves)):
+        assert tuple(totals[:, i].tolist()) == ref
+        if curves:
+            for k, name in enumerate(Totals._fields):
+                assert block_curves[k, :, i].tolist() == getattr(recorder, name)
+        else:
+            assert block_curves is None
+    return totals
+
+
+@pytest.mark.parametrize("rep", [0, 1, 2, 63, 10**6])
+def test_loaded_stream_continues_random(rep):
+    rng = make_rng(20240601, rep)
+    for _ in range(rep % 3):  # also from a stream that is not at a word boundary
+        rng.random()
+    stream = _stream(rng)
+    assert stream.random_sample(10_000).tolist() == [rng.random() for _ in range(10_000)]
+
+
+@pytest.mark.parametrize("curves", [False, True], ids=["summary", "curves"])
+@pytest.mark.parametrize("restart", list(SIGMAS))
+@pytest.mark.parametrize("model_name", list(MODELS))
+@pytest.mark.parametrize("env_name", list(ENVS))
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_block_matches_the_kernels(kind, env_name, model_name, restart, curves):
+    env, _ = ENVS[env_name]
+    totals = assert_block_matches_kernels(
+        params_for(kind), env, SIGMAS[restart], MODELS[model_name], BLOCK_SEEDS, curves
+    )
+    assert (totals[2] > 0.0).all()  # compensation was paid in every rep
+
+
+def states_seen(params, env, seed, state):
+    """``state(policy)`` after every post-round-robin step of one kernel run."""
+    rng = random.Random(seed)
+    policy = make_policy(params, env.schedule.K)
+    totals, seen = Totals(), []
+    for t in range(1, env.schedule.T + 1):
+        totals = run_segment(policy, env, t, t, MODELS["linear"], rng, totals)
+        if policy.ready:
+            seen.append(state(policy))
+    return seen
+
+
+def test_block_matches_a_ducb_count_underflowing_to_zero():
+    # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
+    # without a pull: the kernels' ``n > 0.0`` branch.
+    params = PolicyParams(kind="ducb", gamma=1e-200)
+    env, _ = ENVS["flip_b3"]
+    assert any(states_seen(params, env, 17, lambda p: 0.0 in p.disc_count))
+    assert_block_matches_kernels(params, env, T, MODELS["linear"], BLOCK_SEEDS, True)
+
+
+def test_block_matches_a_swucb_arm_that_left_the_window():
+    params = PolicyParams(kind="swucb", tau=3)
+    env, _ = ENVS["flip_b3"]
+    assert any(states_seen(params, env, 17, lambda p: 0 in p.win_count))
+    assert_block_matches_kernels(params, env, T, MODELS["saturating"], BLOCK_SEEDS, True)
+
+
+def test_block_matches_a_swucb_window_longer_than_the_run():
+    params = PolicyParams(kind="swucb", tau=10**12)
+    env, _ = ENVS["flip_b3"]
+    assert_block_matches_kernels(params, env, T, MODELS["linear"], BLOCK_SEEDS, False)
+
+
+def test_block_reports_a_failed_step_check():
+    # l = 1e300 overflows a drifted reward to inf, which the kernels refuse
+    env, _ = ENVS["flip_b3"]
+    model = DriftModel("linear", 1e300)
+    params = params_for("swucb")
+    with pytest.raises(ValueError, match="reward must be finite"):
+        kernel_reps(params, env, T, model, BLOCK_SEEDS[:1], False)
+    rngs = [random.Random(seed) for seed in BLOCK_SEEDS]
+    assert run_block(params, env, model, rngs, [(1, T)]) is None
