@@ -12,8 +12,10 @@ true reward from the drift.
 ``run_segment`` is the single entry point to this loop; it serves the
 one-step API, full runs, and the restarting scheduler.  It steps the
 built-in policies through fused per-policy kernels, which inline the policy
-and drift methods, take the run's :class:`Totals` and return them updated,
-and append to a :class:`CurveRecorder` only when one is supplied.
+and drift methods and the ``random.Random`` draws they make (``randrange``,
+``betavariate``, ``gammavariate``), take the run's :class:`Totals` and
+return them updated, and append to a :class:`CurveRecorder` only when one is
+supplied.
 ``run_block`` runs a block of replications of one UCB-family config in
 lockstep, bit-identical to the kernels rep by rep.
 """
@@ -21,8 +23,8 @@ lockstep, bit-identical to the kernels rep by rep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, sqrt
-from random import Random
+from math import exp, inf, log, sqrt
+from random import LOG4, SG_MAGICCONST, Random
 from typing import NamedTuple
 
 import numpy as np
@@ -146,15 +148,18 @@ def run_segment(
     draws, in that order.  ``batch`` is the restart batch recorded in the
     step records.
 
-    Only the built-in policy classes and ``DriftModel`` itself have a step
-    kernel; any other type, a subclass included, is refused with a
-    ``TypeError`` rather than run as its base class.
+    Only the built-in policy classes, ``DriftModel`` itself and
+    ``random.Random`` itself have a step kernel; any other type, a subclass
+    included, is refused with a ``TypeError`` rather than run as its base
+    class.
     """
     kernel = _KERNELS.get(type(policy))
     if kernel is None:
         raise TypeError(f"no step kernel for policy type {type(policy).__name__}")
     if type(model) is not DriftModel:
         raise TypeError(f"no step kernel for drift type {type(model).__name__}")
+    if type(rng) is not Random:
+        raise TypeError(f"no step kernel for rng type {type(rng).__name__}")
     sched = env.schedule
     if not (1 <= t_start and t_end <= sched.T):
         raise ValueError(f"steps [{t_start}, {t_end}] outside horizon [1, {sched.T}]")
@@ -177,9 +182,16 @@ def run_segment(
 # back on exit, also when a check raises), and one pass over the arms finds
 # both the index argmax (ties to the lowest arm, starting from -inf) and the
 # greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
+# The stdlib draws are inlined too, as CPython's ``random.py`` writes them:
+# ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
+# ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
+# ``y / (y + gammavariate(b, 1.0))`` unless y is 0.  A shape above 1 runs
+# Cheng's (1977) rejection loop on per-arm cached constants, a shape of 1 is
+# ``-log(1.0 - random())``, and a shape below 1 (only a prior) still calls
+# ``gammavariate``.  The scale is 1.0, and ``x * 1.0`` is ``x``.
 # Any edit here must keep the draw order and every float expression of the
 # loop over the public methods; tests/test_kernels.py checks bit-identity
-# against that loop.
+# against that loop, whose policies call the stdlib methods.
 #
 # Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves,
 # batch), where ``acc`` is the run's :class:`Totals` so far; returns the
@@ -428,7 +440,8 @@ def _eps_greedy_segment(
     count, total = pol.count, pol.total
     n_obs = pol.t
     uniform = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    k = K.bit_length()
     arms = range(1, K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
@@ -452,7 +465,11 @@ def _eps_greedy_segment(
                     if e > ge:
                         g, ge = i + 1, e
                 if eps >= 1.0 or uniform() < eps:
-                    a = randrange(K) + 1
+                    # randrange(K): k-bit draws until one is below K
+                    a = getrandbits(k)
+                    while a >= K:
+                        a = getrandbits(k)
+                    a += 1
                 else:
                     a = g
                 if a != g:
@@ -491,12 +508,24 @@ def _eps_greedy_segment(
     return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
+def _cheng(s):
+    """Cheng's constants ``(s, ainv, bbb, ccc)`` as ``gammavariate(s, 1.0)`` sets them."""
+    if s > 1.0:
+        ainv = sqrt(2.0 * s - 1.0)
+        return s, ainv, s - LOG4, s + ainv
+    return s, 0.0, 0.0, 0.0
+
+
 def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
     K = pol.K
     alpha, beta = pol.alpha, pol.beta
     n_obs = pol.t
     uniform = rng.random
-    betavariate = rng.betavariate
+    gammavariate = rng.gammavariate
+    # Per arm: the Cheng constants of alpha and of beta; only the pulled
+    # arm's entry changes after a step.
+    ca = [_cheng(s) for s in alpha]
+    cb = [_cheng(s) for s in beta]
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     if curves is not None:
@@ -514,8 +543,47 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
                 g, ge = 1, alpha[0] / (alpha[0] + beta[0])
                 a, av, ae = 1, -inf, ge
                 for i in arms:
+                    # betavariate(alpha[i], beta[i]): y ~ Gamma(alpha), and
+                    # only when y is nonzero a second draw w ~ Gamma(beta).
+                    s, ainv, bbb, ccc = ca[i]
+                    if s > 1.0:
+                        while True:
+                            u1 = uniform()
+                            if not 1e-7 < u1 < 0.9999999:
+                                continue
+                            u2 = 1.0 - uniform()
+                            v = log(u1 / (1.0 - u1)) / ainv
+                            y = s * exp(v)
+                            z = u1 * u1 * u2
+                            q = bbb + ccc * v - y
+                            if q + SG_MAGICCONST - 4.5 * z >= 0.0 or q >= log(z):
+                                break
+                    elif s == 1.0:
+                        y = -log(1.0 - uniform())
+                    else:
+                        y = gammavariate(s, 1.0)
+                    if y:
+                        s, ainv, bbb, ccc = cb[i]
+                        if s > 1.0:
+                            while True:
+                                u1 = uniform()
+                                if not 1e-7 < u1 < 0.9999999:
+                                    continue
+                                u2 = 1.0 - uniform()
+                                v = log(u1 / (1.0 - u1)) / ainv
+                                w = s * exp(v)
+                                z = u1 * u1 * u2
+                                q = bbb + ccc * v - w
+                                if q + SG_MAGICCONST - 4.5 * z >= 0.0 or q >= log(z):
+                                    break
+                        elif s == 1.0:
+                            w = -log(1.0 - uniform())
+                        else:
+                            w = gammavariate(s, 1.0)
+                        v = y / (y + w)
+                    else:
+                        v = 0.0
                     ai, bi = alpha[i], beta[i]
-                    v = betavariate(ai, bi)
                     e = ai / (ai + bi)
                     if v > av:
                         a, av, ae = i + 1, v, e
@@ -533,10 +601,13 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
             r = x + delta
             if not 0.0 <= r < inf:
                 raise _bad_reward(r)
+            i = a - 1
             if uniform() < (r if r < 1.0 else 1.0):
-                alpha[a - 1] += 1.0
+                alpha[i] += 1.0
+                ca[i] = _cheng(alpha[i])
             else:
-                beta[a - 1] += 1.0
+                beta[i] += 1.0
+                cb[i] = _cheng(beta[i])
             n_obs += 1
 
             mu_star = best[t - 1]

@@ -1,14 +1,16 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import driftbandits
-from driftbandits.cli import main
+from driftbandits.cli import _write_curve_csv, main
 from driftbandits.harness import LOCKSTEP_MIN, LOCKSTEP_SIZES
 
 
@@ -294,6 +296,20 @@ def test_reproduce_fig4_smoke(tmp_path):
         totals = [float(r[1]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(totals, totals[1:]))  # cumulative reward
     assert (out / "fig4_reward.svg").read_text().startswith("<svg")
+
+
+def test_curve_csv_has_the_bytes_of_csv_writer(tmp_path):
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324,
+              1.7976931348623157e308, 123456789012345.67, 0.1, 1 / 3, 2.5e16]
+    mean = np.array(values * 3)
+    stderr = np.array(values[::-1] * 3)
+    _write_curve_csv(tmp_path / "fast.csv", mean, stderr)
+    with open(tmp_path / "writer.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "mean_metric", "stderr"])
+        for t, (m, s) in enumerate(zip(mean.tolist(), stderr.tolist()), start=1):
+            writer.writerow([t, repr(m), repr(s)])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 def test_reproduce_outputs_are_idempotent(tmp_path):

@@ -12,9 +12,10 @@ must give every replication the kernels' totals and curves, bit for bit.
 import math
 import random
 
+import numpy as np
 import pytest
 
-from driftbandits.env import make_flip_env, make_sinusoidal_env
+from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import (
     LOCKSTEP_KINDS,
@@ -25,7 +26,13 @@ from driftbandits.incentive import (
     run_block,
     run_segment,
 )
-from driftbandits.policy import POLICY_KINDS, PolicyParams, Ucb1Policy, make_policy
+from driftbandits.policy import (
+    POLICY_KINDS,
+    PolicyParams,
+    ThompsonPolicy,
+    Ucb1Policy,
+    make_policy,
+)
 from driftbandits.restart import batch_bounds, batch_size
 from driftbandits.seeding import make_rng
 from reference_loop import reference_segment
@@ -152,19 +159,108 @@ def test_types_without_a_kernel_are_refused():
         def apply(self, chi):
             return 0.0
 
+    class OwnRandom(random.Random):  # randrange stops using getrandbits
+        def random(self):
+            return super().random()
+
+    class OwnBeta(random.Random):
+        def betavariate(self, alpha, beta):
+            return 0.5
+
     env, _ = ENVS["flip_b3"]
     ucb1 = make_policy(params_for("ucb1"), 2)
     cases = [
-        (QuietUcb1(2), MODELS["linear"], "policy type QuietUcb1"),
-        (ucb1, NoDrift("linear", 0.4), "drift type NoDrift"),
+        (QuietUcb1(2), MODELS["linear"], random.Random, "policy type QuietUcb1"),
+        (ucb1, NoDrift("linear", 0.4), random.Random, "drift type NoDrift"),
+        (make_policy(params_for("eps_greedy"), 2), MODELS["linear"], OwnRandom,
+         "rng type OwnRandom"),
+        (make_policy(params_for("thompson"), 2), MODELS["linear"], OwnBeta,
+         "rng type OwnBeta"),
     ]
-    for policy, model, message in cases:
+    for policy, model, rng_type, message in cases:
         fresh = policy.state_json()
-        rng = random.Random(1)
+        rng = rng_type(1)
         with pytest.raises(TypeError, match=message):
             run_segment(policy, env, 1, T, model, rng)
         assert policy.state_json() == fresh  # refused before any step
-        assert rng.random() == random.Random(1).random()
+        assert rng.getstate() == random.Random(1).getstate()
+
+
+# ---------------------------------------------------------------------------
+# The inlined stdlib draws against the stdlib methods the oracle calls.
+
+
+def assert_kernel_matches_reference(params, env, sigma, model, seed):
+    fast = run(params, env, sigma, model, seed, run_segment, "steps")
+    ref = run(params, env, sigma, model, seed, reference_segment, "steps")
+    assert fast[0] == ref[0]
+    assert fast[1].steps == ref[1].steps
+    assert fast[2] == ref[2]  # policy state after every batch
+    assert fast[3] == ref[3]  # then the same next draw
+
+
+def multi_arm_env(K: int) -> Environment:
+    """Means drifting at a different speed on each of ``K`` arms."""
+    t = np.arange(1, T + 1)[:, None] / T
+    means = 0.5 + 0.4 * np.sin(2.0 * math.pi * t * np.arange(1, K + 1))
+    return Environment(MeanSchedule(means))
+
+
+PRIORS = {
+    "below_one": (0.3, 0.7),
+    "below_and_above_one": (0.5, 2.5),
+    "one_and_above_one": (1.0, 2.5),
+    "non_integer": (1.7, 3.2),
+    "large": (1e6, 3.7),
+    "limit": (1e300, 1e300),
+}
+
+
+@pytest.mark.parametrize("sigma", [T, 90], ids=["one_batch", "restarts"])
+@pytest.mark.parametrize("prior", list(PRIORS))
+def test_thompson_kernel_matches_betavariate(prior, sigma):
+    prior_a, prior_b = PRIORS[prior]
+    params = PolicyParams(kind="thompson", prior_a=prior_a, prior_b=prior_b)
+    env, _ = ENVS["sinusoidal_restarts"]
+    assert_kernel_matches_reference(params, env, sigma, MODELS["linear"], 23)
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+@pytest.mark.parametrize("kind", ["eps_greedy", "thompson"])
+def test_kernel_matches_reference_on_more_arms(kind, K):
+    # eps_c = 20 explores on most steps: many randrange draws, and at these K
+    # getrandbits rejects a different share of them than at K = 2
+    params = PolicyParams(kind=kind, eps_c=20.0, prior_a=0.8, prior_b=1.5)
+    assert_kernel_matches_reference(params, multi_arm_env(K), 250, MODELS["saturating"], 29)
+
+
+def test_thompson_kernel_skips_the_beta_draw_after_a_zero_gamma():
+    # MT19937 tempering maps a zero word to zero, so a state whose next two
+    # words are 0 makes random() return exactly 0.0: Gamma(1) is then -0.0,
+    # and betavariate returns 0.0 without drawing Gamma(beta).
+    words = list(random.Random(5).getstate()[1])
+    words[100] = words[101] = 0
+    words[-1] = 100  # the index of the next word
+    state = (3, tuple(words), None)
+    probe = random.Random()
+    probe.setstate(state)
+    assert probe.betavariate(1.0, 2.0) == 0.0
+    after_one = random.Random()
+    after_one.setstate(state)
+    assert after_one.random() == 0.0
+    assert probe.getstate() == after_one.getstate()  # no second draw
+
+    env, _ = ENVS["flip_b3"]
+    outcomes = []
+    for segment in (run_segment, reference_segment):
+        policy = ThompsonPolicy(2, PolicyParams(kind="thompson"))
+        policy.alpha, policy.beta, policy.t = [1.0, 3.0], [2.0, 2.0], 2
+        rng = random.Random()
+        rng.setstate(state)
+        recorder = CurveRecorder(steps=True)
+        segment(policy, env, 3, 40, MODELS["linear"], rng, Totals(), recorder)
+        outcomes.append((recorder.steps, policy.state_json(), rng.random()))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
