@@ -8,8 +8,9 @@ every default lives on these dataclasses.  DUCB/SWUCB take an explicit
 and breakpoint count.  The preset experiments (``flip_config``,
 ``sinusoidal_config``) live here too.  Replication ``i`` draws from a private
 stream seeded by a 64-bit mix of ``(base_seed, i)``, so results are
-bit-reproducible and independent of both worker count and execution order;
-aggregation reduces over rep-indexed arrays with a fixed order.
+bit-reproducible and independent of both worker count and execution order.
+Every engine hands the fold one unit, a ``Block`` of reps: their (4, n)
+totals and (4, T, n) curves, folded one replication at a time in rep order.
 
 Metrics per replication, named as the fields of :class:`Totals` and its curves:
 
@@ -30,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +125,8 @@ def tuned_gamma(beta_T: int, T: int, gamma_c: float) -> float:
 def tuned_tau(beta_T: int, T: int, tau_c: float) -> int:
     """Window ``floor(tau_c * sqrt(T ln T / beta_T))``, clamped into [1, T]."""
     _check_tuning(beta_T, T, tau_c, "tau_c")
-    tau = math.floor(tau_c * math.sqrt(T * math.log(T) / beta_T))
-    return max(1, min(tau, T))
+    # clamp before the floor: a huge tau_c makes the product inf
+    return max(1, math.floor(min(tau_c * math.sqrt(T * math.log(T) / beta_T), T)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,43 +502,49 @@ def run_replication(
     return ReplicationResult(*totals, curves, recorder.steps if collect_trace else None)
 
 
-def _run_lockstep(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
-    """The replications ``rep_indices`` as one lockstep block, or ``None``
-    when a step check failed."""
-    resolved = config.resolve()
-    T = resolved.T
-    batches = [(1, T)] if resolved.sigma is None else batch_bounds(T, resolved.sigma)
-    rngs = [make_rng(config.base_seed, rep) for rep in rep_indices]
-    out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
-                    rngs, batches, collect_curves)
-    if out is None:
-        return None
-    totals, curves = out
-    return [
-        ReplicationResult(*totals[:, i].tolist(), curves=None if curves is None else {
-            name: curves[k, :, i] for k, name in enumerate(METRIC_NAMES)})
-        for i in range(len(rep_indices))
-    ]
+class Block(NamedTuple):
+    """The replications ``start, start + 1, ...``: their (4, n) totals, one row
+    per metric name, and their (4, T, n) curves or ``None``."""
+
+    start: int
+    values: np.ndarray
+    curves: np.ndarray | None
 
 
-def _chunk_results(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
-    """The replications ``rep_indices``, in order.
+def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
+                  writer=None) -> Block:
+    """The replications ``reps`` on the scalar kernels, each written into one
+    block as it finishes; with a trace CSV ``writer``, after writing its rows."""
+    values = np.empty((len(METRIC_NAMES), len(reps)))
+    curves = None
+    if collect_curves:
+        curves = np.empty((len(METRIC_NAMES), build_env(config.env).T, len(reps)))
+    for i, rep in enumerate(reps):
+        res = run_replication(config, rep, collect_curves, writer is not None)
+        if writer is not None:
+            writer.writerows((rep, *step) for step in res.trace)
+        values[:, i] = [getattr(res, name) for name in METRIC_NAMES]
+        if collect_curves:
+            curves[:, :, i] = [res.curves[name] for name in METRIC_NAMES]
+    return Block(reps.start, values, curves)
+
+
+def _run_reps(config: ExperimentConfig, reps: range, collect_curves: bool) -> Block:
+    """The replications ``reps`` as one block.
 
     A block of at least ``LOCKSTEP_MIN`` UCB-family reps runs in lockstep;
     if a step check fails there, the block reruns on the scalar kernels,
     which raise as they always do.
     """
-    if len(rep_indices) >= LOCKSTEP_MIN and config.policy.kind in LOCKSTEP_KINDS:
-        results = _run_lockstep(config, rep_indices, collect_curves)
-        if results is not None:
-            yield from results
-            return
-    for rep in rep_indices:
-        yield run_replication(config, rep, collect_curves)
-
-
-def _run_chunk(config: ExperimentConfig, rep_indices: list, collect_curves: bool):
-    return list(_chunk_results(config, rep_indices, collect_curves))
+    if len(reps) >= LOCKSTEP_MIN and config.policy.kind in LOCKSTEP_KINDS:
+        resolved = config.resolve()
+        batches = batch_bounds(resolved.T, resolved.sigma or resolved.T)  # 1 batch if no restarts
+        rngs = [make_rng(config.base_seed, rep) for rep in reps]
+        out = run_block(resolved.policy_params, build_env(config.env),
+                        resolved.drift_model, rngs, batches, collect_curves)
+        if out is not None:
+            return Block(reps.start, *out)
+    return _scalar_block(config, reps, collect_curves)
 
 
 @dataclass
@@ -545,12 +553,15 @@ class ExperimentSummary:
 
     config: ExperimentConfig
     resolved: Resolved
-    reps: int
     mean: dict
     stderr: dict
     rep_values: dict  # metric -> np.ndarray indexed by replication
     curve_mean: dict | None = None
     curve_stderr: dict | None = None
+
+    @property
+    def reps(self) -> int:
+        return self.config.reps
 
     def to_json_dict(self) -> dict:
         return {
@@ -570,13 +581,6 @@ class ExperimentSummary:
         }
 
 
-def _stderr(values: np.ndarray) -> float:
-    n = values.size
-    if n < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(n))
-
-
 # Block sizes, measured on 2 cores (README "Performance").  A block of at
 # least LOCKSTEP_MIN UCB-family reps runs in lockstep.  A lockstep run is
 # split over the pool only when every piece gets at least its split size, and
@@ -589,10 +593,10 @@ LOCKSTEP_SIZES = {False: (64, 256), True: (256, 128)}  # curves -> (split, large
 def pool_plan(
     reps: int, workers: int, cpus: int, collect_curves: bool, lockstep: bool = False
 ) -> tuple[int, list]:
-    """Pool size and the rep-index chunks it runs, in submission order.
+    """Pool size and the rep ranges it runs, one block each, in submission order.
 
-    ``workers`` is clamped to ``cpus`` before sizing the chunks, and the pool
-    to the number of chunks, so a large request starts no more processes
+    ``workers`` is clamped to ``cpus`` before sizing the blocks, and the pool
+    to the number of blocks, so a large request starts no more processes
     than can run at once.  A pool size of 1 means: run in-process.  A
     ``lockstep`` run gets a few large blocks of near-equal size, as many for
     each pool process.
@@ -603,11 +607,11 @@ def pool_plan(
         pool = max(1, min(workers, reps // split))
         blocks = pool * math.ceil(math.ceil(reps / most) / pool)
         cuts = [reps * i // blocks for i in range(blocks + 1)]
-        return pool, [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        return pool, [range(a, b) for a, b in zip(cuts, cuts[1:])]
     chunk = max(1, math.ceil(reps / (workers * 4)))
     if collect_curves:
         chunk = min(chunk, 64)
-    ranges = [list(range(i, min(i + chunk, reps))) for i in range(0, reps, chunk)]
+    ranges = [range(i, min(i + chunk, reps)) for i in range(0, reps, chunk)]
     return max(1, min(workers, len(ranges))), ranges
 
 
@@ -619,12 +623,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _drain(futures: deque):
-    """Each chunk's results in submission order; a chunk is dropped once read."""
-    while futures:
-        yield from futures.popleft().result()
-
-
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -633,9 +631,9 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run all replications and aggregate.
 
-    The reduction is over arrays indexed by replication, with chunks
-    consumed in submission order, so the result is identical for any
-    ``workers`` value.  When ``config.trace`` is on, replications run
+    One fold takes the blocks of every source (in-process, the pool, or one
+    rep at a time when tracing) in rep order, so the result is identical for
+    any ``workers`` value.  When ``config.trace`` is on, replications run
     serially and stream rows to the trace CSV at ``trace_path``; a traced
     config without a ``trace_path`` is refused.
     """
@@ -647,51 +645,52 @@ def run_experiment(
     reps = config.reps
     lockstep = config.policy.kind in LOCKSTEP_KINDS
     pool, ranges = pool_plan(reps, workers, _cpu_count(), collect_curves, lockstep)
-    values = {name: np.empty(reps) for name in METRIC_NAMES}
-    curve_sum = curve_sumsq = None
-    with ExitStack() as stack:
-        if config.trace:
-            writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
-            writer.writerow(TRACE_HEADER.split(","))
-            results = (
-                run_replication(config, rep, collect_curves, True) for rep in range(reps)
-            )
-        elif pool == 1:
-            results = (res for r in ranges for res in _chunk_results(config, r, collect_curves))
-        else:
-            ex = stack.enter_context(ProcessPoolExecutor(max_workers=pool))
-            # submission order => deterministic reduction
-            results = _drain(deque(
-                ex.submit(_run_chunk, config, r, collect_curves) for r in ranges))
-        for rep, res in enumerate(results):
-            for name in METRIC_NAMES:
-                values[name][rep] = getattr(res, name)
-            if collect_curves:
-                if curve_sum is None:
-                    curve_sum = {k: np.zeros_like(res.curves[k]) for k in METRIC_NAMES}
-                    curve_sumsq = {k: np.zeros_like(res.curves[k]) for k in METRIC_NAMES}
-                for k in METRIC_NAMES:
-                    curve_sum[k] += res.curves[k]
-                    curve_sumsq[k] += res.curves[k] ** 2
+    values = np.empty((len(METRIC_NAMES), reps))
+    if collect_curves:
+        curve_sum, curve_sumsq, square = np.zeros((3, len(METRIC_NAMES), resolved.T))
+    try:  # huge drift can make compensations that overflow their sums or squares
+        with ExitStack() as stack, np.errstate(over="raise"):
             if config.trace:
-                writer.writerows((rep, *step) for step in res.trace)
-
-    mean = {name: float(np.mean(values[name])) for name in METRIC_NAMES}
-    stderr = {name: _stderr(values[name]) for name in METRIC_NAMES}
-    curve_mean = curve_stderr = None
-    if collect_curves and curve_sum is not None:
-        curve_mean, curve_stderr = {}, {}
-        for k in METRIC_NAMES:
-            m = curve_sum[k] / reps
-            curve_mean[k] = m
-            if reps > 1:
-                var = np.maximum(curve_sumsq[k] / reps - m**2, 0.0) * reps / (reps - 1)
-                curve_stderr[k] = np.sqrt(var / reps)
+                writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
+                writer.writerow(TRACE_HEADER.split(","))
+                blocks = (_scalar_block(config, range(rep, rep + 1), collect_curves, writer)
+                          for rep in range(reps))
+            elif pool == 1:
+                blocks = (_run_reps(config, r, collect_curves) for r in ranges)
             else:
-                curve_stderr[k] = np.zeros_like(m)
-    return ExperimentSummary(
-        config, resolved, reps, mean, stderr, values, curve_mean, curve_stderr
-    )
+                ex = stack.enter_context(ProcessPoolExecutor(max_workers=pool))
+                futures = deque(ex.submit(_run_reps, config, r, collect_curves)
+                                for r in ranges)
+                # in submission order (a deterministic fold), each dropped once read
+                blocks = (futures.popleft().result() for _ in ranges)
+            for block in blocks:
+                n = block.values.shape[1]
+                values[:, block.start:block.start + n] = block.values
+                if collect_curves:
+                    for i in range(n):  # one replication at a time, as a strided view
+                        curve_sum += block.curves[:, :, i]
+                        curve_sumsq += np.square(block.curves[:, :, i], out=square)
+                del block  # before the next block is made or received
+            if not np.isfinite(values).all():  # a compensation summed past the float range
+                raise ConfigError("drift.l", "drift overflows a replication total")
+            mean, stderr = values.mean(axis=1), np.zeros(len(METRIC_NAMES))
+            if reps > 1:
+                stderr = values.std(axis=1, ddof=1) / math.sqrt(reps)
+            curve_mean = curve_stderr = None
+            if collect_curves:
+                curve_mean, curve_stderr = curve_sum / reps, np.zeros_like(curve_sum)
+                if reps > 1:
+                    var = (np.maximum(curve_sumsq / reps - curve_mean**2, 0.0)
+                           * reps / (reps - 1))
+                    curve_stderr = np.sqrt(var / reps)
+    except FloatingPointError as exc:
+        raise ConfigError("drift.l", f"drift overflows the summary statistics ({exc})") from None
+
+    def by_name(rows):  # metric name -> row; curve rows stay views of one array
+        return None if rows is None else dict(zip(METRIC_NAMES, rows))
+
+    return ExperimentSummary(config, resolved, by_name(mean.tolist()), by_name(stderr.tolist()),
+                             by_name(values), by_name(curve_mean), by_name(curve_stderr))
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:

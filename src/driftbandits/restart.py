@@ -60,8 +60,8 @@ def batch_size_exact(T: int, V_T: float, K: int, lam: float = 1.0) -> float:
 
 def batch_size(T: int, V_T: float, K: int, lam: float = 1.0) -> int:
     """Integer batch size: the floored formula value, clamped into [1, T]."""
-    sigma = math.floor(batch_size_exact(T, V_T, K, lam))
-    return max(1, min(sigma, T))
+    # clamp before the floor: a huge lam makes the formula value inf
+    return max(1, math.floor(min(batch_size_exact(T, V_T, K, lam), T)))
 
 
 def batch_bounds(T: int, sigma: int) -> list[tuple[int, int]]:

@@ -78,6 +78,7 @@ class TestTuning:
         assert 0.0 < tuned_gamma(4999, 5000, 1e-6) < 1.0
         assert tuned_tau(4999, 5000, 1e-9) == 1
         assert tuned_tau(1, 100, 1e9) == 100
+        assert tuned_tau(1, 100, 1e308) == 100  # the formula value is inf
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -482,6 +483,17 @@ class TestLockstep:
         assert summary_facts(run_experiment(config, collect_curves=True)) == expected
         assert calls == list(range(config.reps))  # the whole block reran
 
+    def test_traced_run_folds_as_the_block_does(self, tmp_path):
+        # untraced, the reps are one lockstep block; traced, the trace source
+        # runs them on the kernels one at a time
+        config = small_config(policy=preset_policy("swucb"), reps=LOCKSTEP_MIN)
+        assert pool_plan(config.reps, 1, 1, True, lockstep=True) == (1, [range(config.reps)])
+        block = run_experiment(config, collect_curves=True)
+        traced = run_experiment(dataclasses.replace(config, trace=True), collect_curves=True,
+                                trace_path=tmp_path / "trace.csv")
+        assert summary_facts(traced)[1:] == summary_facts(block)[1:]
+        assert traced.to_json_dict()["metrics"] == block.to_json_dict()["metrics"]
+
     def test_drift_overflow_in_a_block_is_refused_as_on_the_kernels(self):
         config = small_config(env=EnvSpec(kind="flip", T=5000, segments=4),
                               policy=preset_policy("swucb"),
@@ -506,7 +518,7 @@ class TestPoolPlan:
 
     def test_lockstep_run_is_one_block_until_it_pays_to_split(self):
         # reproduce fig2's cells: 64 reps with curves on 2 workers
-        assert pool_plan(64, 2, 2, True, lockstep=True) == (1, [list(range(64))])
+        assert pool_plan(64, 2, 2, True, lockstep=True) == (1, [range(64)])
         pool, ranges = pool_plan(2000, 2, 2, False, lockstep=True)
         assert pool == 2
         assert [len(r) for r in ranges] == [250] * 8
@@ -677,3 +689,69 @@ def test_config_dict_is_refused_or_runs_finite(d):
     except ConfigError:
         return
     assert all(math.isfinite(v) for v in summary.mean.values())
+
+
+# UCB-family configs with enough reps for a lockstep block: both env families
+# and drift kinds, restarts on and off, and extreme gamma, tau, xi, l, cap and lam.
+POSITIVE = st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0, 2.0, 1e10, 1e300, 1e308])
+XIS = st.sampled_from([0.5, 0.6, 1.0, 2.0, 1e10, 1e300, 1e308])
+GAMMAS = st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 0.99, 1.0 - 1e-12, 1.0])
+TAUS = st.sampled_from([1, 2, 3, 10**9]) | st.integers(1, 400)
+
+
+def tuned(kind, explicit, values, constant):
+    return st.one_of(*(st.fixed_dictionaries({"kind": st.just(kind), "xi": XIS, key: v})
+                       for key, v in ((explicit, values), (constant, POSITIVE))))
+
+
+LOCKSTEP_CONFIGS = st.fixed_dictionaries(
+    {
+        "env": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("flip"), "T": st.integers(2, 300)},
+                                  optional={"segments": st.integers(1, 4)}),
+            st.fixed_dictionaries({"kind": st.just("sinusoidal"), "T": st.integers(2, 300)},
+                                  optional={"budget": st.floats(0.25, 10.0)}),
+        ),
+        "policy": st.one_of(st.just({"kind": "ucb1"}),
+                            tuned("ducb", "gamma", GAMMAS, "gamma_c"),
+                            tuned("swucb", "tau", TAUS, "tau_c")),
+        "drift": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("linear"), "l": st.just(0.0) | POSITIVE}),
+            st.fixed_dictionaries({"kind": st.just("saturating"), "l": POSITIVE,
+                                   "cap": POSITIVE}),
+        ),
+        "restart": st.none() | st.fixed_dictionaries(
+            {}, optional={"sigma": st.integers(1, 300), "lam": POSITIVE}),
+        "reps": st.integers(LOCKSTEP_MIN, LOCKSTEP_MIN + 12),
+        "base_seed": st.integers(0, 2**64 - 1),
+    }
+)
+
+
+@given(LOCKSTEP_CONFIGS, st.booleans())
+@example({"env": {"kind": "flip", "T": 4}, "reps": LOCKSTEP_MIN,
+          "policy": {"kind": "swucb", "tau_c": 1e308}}, False)
+@example({"env": {"kind": "flip", "T": 4}, "reps": LOCKSTEP_MIN,
+          "policy": {"kind": "ucb1"}, "restart": {"lam": 1e308}}, False)
+@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": LOCKSTEP_MIN,
+          "policy": {"kind": "ducb", "gamma": 1e-300},
+          "drift": {"kind": "linear", "l": 1e308}}, True)
+@example({"env": {"kind": "flip", "T": 6}, "reps": LOCKSTEP_MIN,
+          "policy": {"kind": "ducb", "xi": 1e300, "gamma": 1e-9},
+          "drift": {"kind": "saturating", "l": 1e300, "cap": 1e-9}}, True)
+@example({"env": {"kind": "flip", "T": 8}, "reps": LOCKSTEP_MIN,
+          "policy": {"kind": "swucb", "tau_c": 5e-324},
+          "drift": {"kind": "saturating", "l": 1e308, "cap": 0.5}}, False)
+@settings(max_examples=500, deadline=None)
+def test_lockstep_and_scalar_engines_agree(d, curves):
+    def outcome():
+        try:
+            return summary_facts(
+                run_experiment(ExperimentConfig.from_dict(d), collect_curves=curves))
+        except ConfigError as exc:
+            return exc.key
+
+    lockstep = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        scalar_only(mp)
+        assert outcome() == lockstep

@@ -48,6 +48,7 @@ class TestBatchSize:
     def test_clamped_into_horizon(self):
         assert 1 <= batch_size(2, 1.0, 2, 1e-6)
         assert batch_size(10, 0.5, 2, 100.0) <= 10
+        assert batch_size(10, 0.5, 2, 1e308) == 10  # the formula value is inf
 
     def test_restart_params_validated(self):
         with pytest.raises(ValueError):
