@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .harness import (
@@ -31,6 +32,7 @@ from .harness import (
     flip_config,
     preset_policy,
     run_experiment,
+    run_experiments,
     scaling_probe,
     sinusoidal_config,
     sweep,
@@ -252,25 +254,25 @@ def cmd_reproduce(args) -> int:
     overrides = _overrides(args)
     curves = FIGURE_CURVES.get(target)
     rows, series = [], {}
-    for row, label, config in REPRODUCE_PRESETS[target]:
-        config = config.with_overrides(overrides)
-        summary = run_experiment(
-            config, workers=args.workers, collect_curves=curves is not None
-        )
-        if curves is None:
-            reference = REFERENCE_TABLES[target][1][row]
-            for metric, field in (("R", "pseudo_regret"), ("C", "compensation")):
-                key = f"{metric}_{label}"
-                ours, ref_v = summary.mean[field], reference[key]
-                dev = (ours - ref_v) / ref_v
-                rows.append([row, key, f"{ours:.4f}", ref_v, f"{dev:+.4f}"])
-        else:
-            for metric, key in curves:
-                mean = summary.curve_mean[key]
-                _write_curve_csv(out / f"{target}_{label}_{metric}.csv", mean,
-                                 summary.curve_stderr[key])
-                ts = list(range(1, mean.size + 1))
-                series.setdefault(metric, {})[label] = (ts[::10], mean.tolist()[::10])
+    presets = REPRODUCE_PRESETS[target]
+    summaries = run_experiments([config.with_overrides(overrides) for _, _, config in presets],
+                                workers=args.workers, collect_curves=curves is not None)
+    with closing(summaries):  # an early exit shuts the pool down
+        for (row, label, _), summary in zip(presets, summaries):
+            if curves is None:
+                reference = REFERENCE_TABLES[target][1][row]
+                for metric, field in (("R", "pseudo_regret"), ("C", "compensation")):
+                    key = f"{metric}_{label}"
+                    ours, ref_v = summary.mean[field], reference[key]
+                    dev = (ours - ref_v) / ref_v
+                    rows.append([row, key, f"{ours:.4f}", ref_v, f"{dev:+.4f}"])
+            else:
+                for metric, key in curves:
+                    mean = summary.curve_mean[key]
+                    _write_curve_csv(out / f"{target}_{label}_{metric}.csv", mean,
+                                     summary.curve_stderr[key])
+                    ts = list(range(1, mean.size + 1))
+                    series.setdefault(metric, {})[label] = (ts[::10], mean.tolist()[::10])
     if curves is None:
         path = out / f"{target}_comparison.csv"
         with open(path, "w", newline="") as fh:

@@ -185,17 +185,23 @@ def make_sinusoidal_env(
         raise ValueError("active window too short to spend a positive budget")
 
     t_idx = np.arange(n_active, dtype=float)
-    phase = theta_total * t_idx / (n_active - 1)
-    wave = amplitude * np.sin(phase)
-    means = np.empty((T, 2), dtype=float)
-    means[:n_active, 0] = 0.5 + wave
-    means[:n_active, 1] = 0.5 - wave
-    means[n_active:, 0] = means[n_active - 1, 0]
-    means[n_active:, 1] = means[n_active - 1, 1]
 
-    schedule = MeanSchedule(means)
-    if schedule.variation > budget:
-        raise ValueError(f"variation {schedule.variation} exceeds the budget {budget}")
+    def schedule_over(theta: float) -> MeanSchedule:
+        wave = amplitude * np.sin(theta * t_idx / (n_active - 1))
+        means = np.empty((T, 2), dtype=float)
+        means[:n_active, 0] = 0.5 + wave
+        means[:n_active, 1] = 0.5 - wave
+        means[n_active:, 0] = means[n_active - 1, 0]
+        means[n_active:, 1] = means[n_active - 1, 1]
+        return MeanSchedule(means)
+
+    schedule = schedule_over(theta_total)
+    # The sines round, so the exact span can overshoot the budget by a few
+    # ulps; shrink it, by a doubling relative step, until it does not.
+    shrink = 2.0**-52
+    while schedule.variation > budget:
+        schedule = schedule_over(theta_total * (1.0 - shrink))
+        shrink *= 2.0
     if schedule.variation < 0.95 * budget:
         raise ValueError("generated schedule underspends the budget by >5%")
     return Environment(schedule, budget=float(budget))

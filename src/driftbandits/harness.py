@@ -10,7 +10,9 @@ and breakpoint count.  The preset experiments (``flip_config``,
 stream seeded by a 64-bit mix of ``(base_seed, i)``, so results are
 bit-reproducible and independent of both worker count and execution order.
 Every engine hands the fold one unit, a ``Block`` of reps: their (4, n)
-totals and (4, T, n) curves, folded one replication at a time in rep order.
+totals and, with curves, the (2, 4, T) sum and sum of squares of their
+curves, added in rep order where the block is made.  ``run_experiments``
+runs the blocks of any number of configs, on one process pool at most.
 
 Metrics per replication, named as the fields of :class:`Totals` and its curves:
 
@@ -63,6 +65,7 @@ __all__ = [
     "run_replication",
     "pool_plan",
     "run_experiment",
+    "run_experiments",
     "write_summary_json",
     "sweep",
     "fit_loglog",
@@ -277,6 +280,23 @@ class Resolved:
     drift_model: DriftModel = field(compare=False)
 
 
+# What a run holds before its first step: the schedule and its per-step views
+# (``build_env``, 209 B per step at K = 2) and the (4, reps) totals (32 B per
+# rep).  A config that needs more than MEMORY_LIMIT bytes is refused, naming
+# the larger term; the limit is fixed, so the refusal is the same on every host.
+STEP_BYTES, REP_BYTES = 209, 32
+MEMORY_LIMIT = 2**30
+
+
+def _check_memory(T: int, reps: int) -> None:
+    steps, totals = STEP_BYTES * T, REP_BYTES * reps
+    if steps + totals > MEMORY_LIMIT:
+        raise ConfigError(
+            "env.T" if steps >= totals else "reps",
+            f"T={T} and reps={reps} need about {(steps + totals) / 2**30:.3g} GiB, "
+            f"over the {MEMORY_LIMIT / 2**30:g} GiB limit")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, losslessly serializable description of one experiment."""
@@ -356,6 +376,7 @@ class ExperimentConfig:
 
     def resolve(self) -> Resolved:
         """Apply tuning formulas and environment measurements."""
+        _check_memory(self.env.T, self.reps)
         envobj = build_env(self.env)
         T, K = envobj.T, envobj.K
         beta = max(1, envobj.beta)  # the tuning formulas need at least 1
@@ -504,7 +525,8 @@ def run_replication(
 
 class Block(NamedTuple):
     """The replications ``start, start + 1, ...``: their (4, n) totals, one row
-    per metric name, and their (4, T, n) curves or ``None``."""
+    per metric name, and with curves the (2, 4, T) sum and sum of squares of
+    their curves, each replication added in rep order; else ``None``."""
 
     start: int
     values: np.ndarray
@@ -513,19 +535,23 @@ class Block(NamedTuple):
 
 def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
                   writer=None) -> Block:
-    """The replications ``reps`` on the scalar kernels, each written into one
-    block as it finishes; with a trace CSV ``writer``, after writing its rows."""
+    """The replications ``reps`` on the scalar kernels, each written and folded
+    into one block as it finishes; with a trace CSV ``writer``, after writing
+    its rows."""
     values = np.empty((len(METRIC_NAMES), len(reps)))
     curves = None
     if collect_curves:
-        curves = np.empty((len(METRIC_NAMES), build_env(config.env).T, len(reps)))
+        curves = np.zeros((2, len(METRIC_NAMES), build_env(config.env).T))
     for i, rep in enumerate(reps):
         res = run_replication(config, rep, collect_curves, writer is not None)
         if writer is not None:
             writer.writerows((rep, *step) for step in res.trace)
         values[:, i] = [getattr(res, name) for name in METRIC_NAMES]
         if collect_curves:
-            curves[:, :, i] = [res.curves[name] for name in METRIC_NAMES]
+            with np.errstate(over="raise"):
+                for k, name in enumerate(METRIC_NAMES):
+                    curves[0, k] += res.curves[name]
+                    curves[1, k] += np.square(res.curves[name])
     return Block(reps.start, values, curves)
 
 
@@ -581,38 +607,41 @@ class ExperimentSummary:
         }
 
 
-# Block sizes, measured on 2 cores (README "Performance").  A block of at
-# least LOCKSTEP_MIN UCB-family reps runs in lockstep.  A lockstep run is
-# split over the pool only when every piece gets at least its split size, and
-# cut into blocks of at most its largest block; both depend on whether the
-# run collects curves, whose arrays cross the pool and grow with the block.
+# Block sizes, measured on 2 cores (README "Block sizes").  A block of at
+# least LOCKSTEP_MIN UCB-family reps runs in lockstep.  A summary-only
+# lockstep run is split over the pool only when every piece gets at least the
+# split size, and cut into blocks of at most the largest block.  A run with
+# curves is cut by its rep count alone into blocks of at most CURVE_BLOCK
+# reps, so its float additions are the same at any worker count and on
+# either engine.
 LOCKSTEP_MIN = 20
-LOCKSTEP_SIZES = {False: (64, 256), True: (256, 128)}  # curves -> (split, largest)
+LOCKSTEP_SIZES = (64, 256)  # summaries only: (split, largest)
+CURVE_BLOCK = 128
 
 
 def pool_plan(
     reps: int, workers: int, cpus: int, collect_curves: bool, lockstep: bool = False
 ) -> tuple[int, list]:
-    """Pool size and the rep ranges it runs, one block each, in submission order.
+    """Pool size for this run alone, and the rep ranges it runs, one block each.
 
     ``workers`` is clamped to ``cpus`` before sizing the blocks, and the pool
     to the number of blocks, so a large request starts no more processes
-    than can run at once.  A pool size of 1 means: run in-process.  A
-    ``lockstep`` run gets a few large blocks of near-equal size, as many for
-    each pool process.
+    than can run at once.  A pool size of 1 means: run in-process.  Blocks
+    are near-equal.  A run with curves gets blocks of at most
+    ``CURVE_BLOCK`` reps, cut by ``reps`` alone; a summary-only ``lockstep``
+    run gets a few large blocks, as many for each pool process.
     """
     workers = min(workers, cpus)
-    if lockstep and reps >= LOCKSTEP_MIN:
-        split, most = LOCKSTEP_SIZES[collect_curves]
+    if collect_curves:
+        blocks = math.ceil(reps / CURVE_BLOCK)
+    elif lockstep and reps >= LOCKSTEP_MIN:
+        split, most = LOCKSTEP_SIZES
         pool = max(1, min(workers, reps // split))
         blocks = pool * math.ceil(math.ceil(reps / most) / pool)
-        cuts = [reps * i // blocks for i in range(blocks + 1)]
-        return pool, [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    chunk = max(1, math.ceil(reps / (workers * 4)))
-    if collect_curves:
-        chunk = min(chunk, 64)
-    ranges = [range(i, min(i + chunk, reps)) for i in range(0, reps, chunk)]
-    return max(1, min(workers, len(ranges))), ranges
+    else:  # about four per worker
+        blocks = math.ceil(reps / math.ceil(reps / (workers * 4)))
+    cuts = [reps * i // blocks for i in range(blocks + 1)]
+    return min(workers, blocks), [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _cpu_count() -> int:
@@ -623,53 +652,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    collect_curves: bool = False,
-    trace_path=None,
-) -> ExperimentSummary:
-    """Run all replications and aggregate.
-
-    One fold takes the blocks of every source (in-process, the pool, or one
-    rep at a time when tracing) in rep order, so the result is identical for
-    any ``workers`` value.  When ``config.trace`` is on, replications run
-    serially and stream rows to the trace CSV at ``trace_path``; a traced
-    config without a ``trace_path`` is refused.
-    """
+def _validate(configs: list, workers: int, trace_path=None) -> list:
+    """Every config's :class:`Resolved`, or the first refusal."""
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers}")
-    if config.trace and trace_path is None:
-        raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
-    resolved = config.resolve()  # validate before spawning anything
+    for config in configs:
+        if config.trace and trace_path is None:
+            raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
+    return [config.resolve() for config in configs]
+
+
+def _fold(config: ExperimentConfig, resolved: Resolved, blocks,
+          collect_curves: bool) -> ExperimentSummary:
+    """The summary of ``config`` from its blocks, added in the order given."""
     reps = config.reps
-    lockstep = config.policy.kind in LOCKSTEP_KINDS
-    pool, ranges = pool_plan(reps, workers, _cpu_count(), collect_curves, lockstep)
     values = np.empty((len(METRIC_NAMES), reps))
     if collect_curves:
-        curve_sum, curve_sumsq, square = np.zeros((3, len(METRIC_NAMES), resolved.T))
+        curves = np.zeros((2, len(METRIC_NAMES), resolved.T))  # sum, sum of squares
     try:  # huge drift can make compensations that overflow their sums or squares
-        with ExitStack() as stack, np.errstate(over="raise"):
-            if config.trace:
-                writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
-                writer.writerow(TRACE_HEADER.split(","))
-                blocks = (_scalar_block(config, range(rep, rep + 1), collect_curves, writer)
-                          for rep in range(reps))
-            elif pool == 1:
-                blocks = (_run_reps(config, r, collect_curves) for r in ranges)
-            else:
-                ex = stack.enter_context(ProcessPoolExecutor(max_workers=pool))
-                futures = deque(ex.submit(_run_reps, config, r, collect_curves)
-                                for r in ranges)
-                # in submission order (a deterministic fold), each dropped once read
-                blocks = (futures.popleft().result() for _ in ranges)
+        with np.errstate(over="raise"):
             for block in blocks:
                 n = block.values.shape[1]
                 values[:, block.start:block.start + n] = block.values
                 if collect_curves:
-                    for i in range(n):  # one replication at a time, as a strided view
-                        curve_sum += block.curves[:, :, i]
-                        curve_sumsq += np.square(block.curves[:, :, i], out=square)
+                    curves += block.curves
                 del block  # before the next block is made or received
             if not np.isfinite(values).all():  # a compensation summed past the float range
                 raise ConfigError("drift.l", "drift overflows a replication total")
@@ -678,6 +684,7 @@ def run_experiment(
                 stderr = values.std(axis=1, ddof=1) / math.sqrt(reps)
             curve_mean = curve_stderr = None
             if collect_curves:
+                curve_sum, curve_sumsq = curves
                 curve_mean, curve_stderr = curve_sum / reps, np.zeros_like(curve_sum)
                 if reps > 1:
                     var = (np.maximum(curve_sumsq / reps - curve_mean**2, 0.0)
@@ -691,6 +698,67 @@ def run_experiment(
 
     return ExperimentSummary(config, resolved, by_name(mean.tolist()), by_name(stderr.tolist()),
                              by_name(values), by_name(curve_mean), by_name(curve_stderr))
+
+
+def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
+    """Run every config's replications; an iterator of their summaries, in order.
+
+    Every config is validated before anything runs.  Each config's blocks
+    (``pool_plan``) run in-process, or all of them on one process pool of
+    ``min(workers, CPUs, blocks)`` processes, submitted in config order.
+    Each summary is yielded as soon as its blocks are folded, in block
+    order, so it is identical for any ``workers`` value.  Consume the
+    iterator to the end, or close it, to shut the pool down.  Traced configs
+    are refused: only ``run_experiment`` writes a trace.
+    """
+    configs = list(configs)
+    resolved = _validate(configs, workers)
+    cpus = _cpu_count()
+    plans = [pool_plan(config.reps, workers, cpus, collect_curves,
+                       config.policy.kind in LOCKSTEP_KINDS)[1] for config in configs]
+    pool = min(workers, cpus, sum(map(len, plans)))
+    return _run_plans(configs, resolved, plans, pool, collect_curves)
+
+
+def _run_plans(configs, resolved, plans, pool, collect_curves):
+    """The summaries of ``run_experiments``, on ``pool`` processes."""
+    with ExitStack() as stack:
+        if pool > 1:
+            ex = ProcessPoolExecutor(max_workers=pool)
+            # an early exit cancels the blocks not yet started
+            stack.callback(ex.shutdown, wait=True, cancel_futures=True)
+            futures = deque(ex.submit(_run_reps, config, r, collect_curves)
+                            for config, ranges in zip(configs, plans) for r in ranges)
+        for config, res, ranges in zip(configs, resolved, plans):
+            if pool > 1:  # in submission order, each dropped once read
+                blocks = (futures.popleft().result() for _ in ranges)
+            else:
+                blocks = (_run_reps(config, r, collect_curves) for r in ranges)
+            yield _fold(config, res, blocks, collect_curves)
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    workers: int = 1,
+    collect_curves: bool = False,
+    trace_path=None,
+) -> ExperimentSummary:
+    """Run all replications and aggregate: ``run_experiments`` on one config.
+
+    When ``config.trace`` is on, replications run serially in-process, one
+    1-rep block at a time, and stream rows to the trace CSV at
+    ``trace_path``; a traced config without a ``trace_path`` is refused.
+    """
+    if not config.trace:
+        (summary,) = run_experiments([config], workers, collect_curves)
+        return summary
+    (resolved,) = _validate([config], workers, trace_path)
+    with open(trace_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER.split(","))
+        blocks = (_scalar_block(config, range(rep, rep + 1), collect_curves, writer)
+                  for rep in range(config.reps))
+        return _fold(config, resolved, blocks, collect_curves)
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
@@ -731,14 +799,13 @@ def sweep(config: ExperimentConfig, values=None, workers: int = 1) -> SweepResul
     values = grid if values is None else tuple(values)
     if not values:
         raise ConfigError("sweep", "grid must be nonempty")
-    trials = [  # every grid point is validated before the first one runs
+    trials = [
         config.with_overrides({f"policy.{explicit}": None, f"policy.{param}": v})
         for v in values
     ]
     points = []
     best = best_summary = None
-    for v, trial in zip(values, trials):
-        summary = run_experiment(trial, workers=workers)
+    for v, summary in zip(values, list(run_experiments(trials, workers))):
         point = SweepPoint(
             float(v), summary.mean["pseudo_regret"], summary.mean["compensation"]
         )
@@ -792,13 +859,11 @@ def scaling_probe(
     if family not in presets:
         raise ValueError(f"unknown scaling family {family!r}")
     preset, size = presets[family]
-    regret_means, comp_means = [], []
-    for T in horizons:
-        config = preset(size, preset_policy(policy_kind), T=T, reps=reps,
-                        base_seed=base_seed, drift_l=drift_l)
-        summary = run_experiment(config, workers=workers)
-        regret_means.append(summary.mean["pseudo_regret"])
-        comp_means.append(summary.mean["compensation"])
+    configs = [preset(size, preset_policy(policy_kind), T=T, reps=reps,
+                      base_seed=base_seed, drift_l=drift_l) for T in horizons]
+    summaries = list(run_experiments(configs, workers))
+    regret_means = [summary.mean["pseudo_regret"] for summary in summaries]
+    comp_means = [summary.mean["compensation"] for summary in summaries]
     return ScalingReport(
         family,
         policy_kind,

@@ -652,7 +652,11 @@ _KERNELS = {
 # * the rest is + - * / and sqrt, which numpy rounds as Python does, and
 #   ``argmax`` takes the first maximum, as the kernels' strict ``>`` does;
 # * the totals and curves are sequential ``add.accumulate`` sums of the
-#   kernels' per-step increments.
+#   kernels' per-step increments;
+# * each chunk's curves are folded over the reps as soon as it is summed, by
+#   ``add.reduce`` over a leading rep axis, which adds one rep's rows after
+#   another in rep order (numpy's pairwise summation only runs along the
+#   innermost axis).
 # The step checks run once per chunk of steps and are stricter than the
 # kernels' (any non-finite compensation fails too): the caller reruns a
 # failed block on the kernels, which raise or finish exactly as always.
@@ -674,8 +678,10 @@ def run_block(params, env, model: DriftModel, rngs, batches, collect_curves=Fals
 
     ``batches`` are the inclusive step ranges of the restart batches (one
     ``(1, T)`` without restarts).  Returns ``(totals, curves)``: the
-    :class:`Totals` fields of every rep as a (4, R) array, and the (4, T, R)
-    curves of them or ``None``.  Returns ``None`` when a step check fails.
+    :class:`Totals` fields of every rep as a (4, R) array, and the (2, 4, T)
+    sum and sum of squares of their curves over the reps, added in rep order,
+    or ``None``.  Returns ``None`` when a step check fails, and raises
+    ``FloatingPointError`` when a curve sum or square overflows.
     """
     means = env.schedule.means
     flat_means = means.reshape(-1)
@@ -689,9 +695,13 @@ def run_block(params, env, model: DriftModel, rngs, batches, collect_curves=Fals
     u, x, chi, r = np.empty((4, chunk, R))
     arm = np.empty((chunk, R), dtype=np.intp)
     wins = np.empty((chunk, R, K))  # wins[j, i, a]: the reward x if rep i pulls a
-    # cum[:, t] holds the totals after step t (row 0: before step 1); without
-    # curves it keeps one chunk of rows, and row 0 carries the totals over.
-    cum = np.zeros((4, T + 1 if collect_curves else chunk + 1, R))
+    # cum[:, 1 + j] holds the totals after a chunk's step j, and row 0 carries
+    # the totals over from the chunk before.
+    cum = np.zeros((4, chunk + 1, R))
+    curves = by_rep = None
+    if collect_curves:
+        curves = np.zeros((2, 4, T))
+        by_rep = np.empty((R, 4, chunk))  # one chunk of curves, rep axis first
     ar_k = np.arange(R) * K
     with np.errstate(all="ignore"):
         for start, stop in batches:
@@ -765,8 +775,7 @@ def run_block(params, env, model: DriftModel, rngs, batches, collect_curves=Fals
                 if not (((chi[:m] >= 0.0) & (chi[:m] < inf)).all()
                         and ((r[:m] >= 0.0) & (r[:m] < inf)).all()):
                     return None
-                o = c0 - 1 if collect_curves else 0
-                rows = slice(o + 1, o + m + 1)
+                rows = slice(1, m + 1)
                 steps = np.arange(c0 - 1, c0 - 1 + m)
                 mu_star = best[steps, None]
                 np.subtract(mu_star, flat_means.take(steps[:, None] * K + arm[:m]),
@@ -774,13 +783,18 @@ def run_block(params, env, model: DriftModel, rngs, batches, collect_curves=Fals
                 np.subtract(mu_star, x[:m], out=cum[1, rows])
                 cum[2, rows] = chi[:m]
                 cum[3, rows] = x[:m]
-                span = cum[:, o:o + m + 1]
+                span = cum[:, :m + 1]
                 np.add.accumulate(span, axis=1, out=span)
-                if not collect_curves:
-                    cum[:, 0] = cum[:, m]
-    if collect_curves:
-        return cum[:, T], cum[:, 1:]
-    return cum[:, 0], None
+                if collect_curves:
+                    cols = slice(c0 - 1, c0 - 1 + m)
+                    reps_first = by_rep[:, :, :m]
+                    np.copyto(reps_first, np.moveaxis(cum[:, rows], 2, 0))
+                    with np.errstate(over="raise"):
+                        np.add.reduce(reps_first, axis=0, out=curves[0, :, cols], initial=0.0)
+                        np.square(reps_first, out=reps_first)
+                        np.add.reduce(reps_first, axis=0, out=curves[1, :, cols], initial=0.0)
+                cum[:, 0] = cum[:, m]
+    return cum[:, 0], curves
 
 
 def incentive_step(

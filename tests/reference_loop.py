@@ -4,10 +4,23 @@ This is the oracle the fused kernels of ``driftbandits.incentive`` are tested
 against: it calls ``recommend``/``greedy_arm``/``estimate``/``observe`` and
 ``DriftModel.apply`` once per step, so it runs any policy or drift type,
 subclasses included.  It takes ``run_segment``'s arguments, returns the same
-totals and writes the same curves and step records.
+totals and writes the same curves and step records.  ``rep_order_fold`` is
+the oracle of the curve fold.
 """
 
+import numpy as np
+
 from driftbandits.incentive import StepOutcome, Totals
+
+
+def rep_order_fold(curves):
+    """The (2, 4, T) sum and sum of squares of per-rep (4, T) ``curves``,
+    added one rep after another from zero."""
+    out = np.zeros((2, *np.shape(curves[0])))
+    for c in curves:
+        out[0] += c
+        out[1] += np.square(c)
+    return out
 
 
 def reference_segment(

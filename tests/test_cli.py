@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import driftbandits
+import driftbandits.cli as cli
+import driftbandits.harness as harness
 from driftbandits.cli import _write_curve_csv, main
 from driftbandits.harness import LOCKSTEP_MIN, LOCKSTEP_SIZES
 
@@ -223,7 +226,7 @@ DRIFT_OVERFLOW = {
     "linear_lockstep": ({"env": {"kind": "flip", "T": 5000, "segments": 4},
                          "policy": {"kind": "swucb", "tau_c": 1.0},
                          "drift": {"kind": "linear", "l": 1e300},
-                         "reps": 2 * LOCKSTEP_SIZES[False][0]},
+                         "reps": 2 * LOCKSTEP_SIZES[0]},
                         "drift.l: drift overflows at run time"),
     "saturating_lockstep": ({"env": {"kind": "flip", "T": 500, "segments": 4},
                              "policy": {"kind": "ucb1"},
@@ -243,6 +246,61 @@ def test_drift_overflow_exits_2_and_names_key(tmp_path, capsys, drift, workers):
                  "--workers", workers])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools a command builds, on two CPUs.  The pools are
+    kept alive, so only their shutdown stops their workers."""
+    built = []
+
+    class KeptPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            built.append((max_workers, self))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", KeptPool)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    return built
+
+
+@pytest.mark.parametrize("workers, sizes", [("1", []), ("2", [2])])
+def test_reproduce_runs_every_config_on_one_pool(tmp_path, pools, workers, sizes):
+    assert main(["reproduce", "fig2", "--set", "reps=2", "--set", "env.T=300",
+                 "--workers", workers, "--out", str(tmp_path)]) == 0
+    assert [size for size, _ in pools] == sizes  # three configs, one block each
+    assert multiprocessing.active_children() == []
+
+
+def test_refusal_inside_a_shared_pool_exits_2_and_stops_the_workers(tmp_path, capsys, pools):
+    code = main(["reproduce", "fig2", "--set", f"reps={LOCKSTEP_MIN}",
+                 "--set", "drift.l=1e300", "--workers", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "drift.l: drift overflows at run time" in capsys.readouterr().err
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_error_while_writing_exits_1_and_stops_the_workers(tmp_path, capsys, pools,
+                                                           monkeypatch):
+    def full_disk(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_curve_csv", full_disk)
+    code = main(["reproduce", "fig2", "--set", "reps=2", "--set", "env.T=300",
+                 "--workers", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("key, value", [("env.T", 10**13), ("reps", 10**12)])
+def test_sizes_too_large_to_hold_exit_2_and_name_the_key(tmp_path, capsys, key, value):
+    code = main(["run", "--config", str(CONFIGS / "flip_b1.json"), "--out", str(tmp_path),
+                 "--set", f"{key}={value}"])
+    assert code == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
 
 
 def test_scaling_writes_report(tmp_path):
@@ -296,6 +354,12 @@ def test_reproduce_fig4_smoke(tmp_path):
         totals = [float(r[1]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(totals, totals[1:]))  # cumulative reward
     assert (out / "fig4_reward.svg").read_text().startswith("<svg")
+
+
+def test_reproduce_fig4_at_a_horizon_whose_exact_span_overshot(tmp_path):
+    # T = 5001 once refused: "variation 3.0000000000000844 exceeds the budget 3.0"
+    assert main(["reproduce", "fig4", "--set", "env.T=5001", "--set", "reps=1",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_curve_csv_has_the_bytes_of_csv_writer(tmp_path):

@@ -105,6 +105,19 @@ class TestSinusoidalEnv:
         assert variation_of(env) <= budget
         assert variation_of(env) >= 0.95 * budget
 
+    @pytest.mark.parametrize("budget", [3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 24.0])
+    def test_budget_never_exceeded_at_any_horizon(self, budget):
+        # the sines round, and an exact phase span once overshot the budget by
+        # a few ulps: at budget 3, every T = 1 (mod 10) was refused
+        for T in range(2, 2001):
+            try:
+                env = make_sinusoidal_env(T, budget, 0.3, 1.0)
+            except ValueError as exc:  # only short horizons are refused
+                assert T <= 5 * budget + 1
+                assert "inadmissible" in str(exc) or "underspends" in str(exc)
+                continue
+            assert 0.95 * budget <= variation_of(env) <= budget
+
     def test_antiphase_arms_centered(self):
         env = make_sinusoidal_env(1000, 2.0, 0.4, 1.0)
         m = env.schedule.means

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import driftbandits.harness as harness
@@ -25,6 +26,7 @@ from driftbandits.harness import (
     pool_plan,
     preset_policy,
     run_experiment,
+    run_experiments,
     run_replication,
     scaling_probe,
     sweep,
@@ -36,6 +38,7 @@ from driftbandits.incentive import DriftModel, run_segment
 from driftbandits.policy import PolicyParams, Ucb1Policy
 from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng, rep_seed
+from reference_loop import rep_order_fold
 
 
 def small_config(**overrides):
@@ -460,7 +463,8 @@ class TestLockstep:
     @pytest.mark.parametrize("curves", [False, True])
     def test_reps_not_a_multiple_of_the_block_size(self, curves, workers, monkeypatch):
         # blocks of at most 25 reps, split over the pool from 2 * 21 reps
-        monkeypatch.setattr(harness, "LOCKSTEP_SIZES", {False: (21, 25), True: (21, 25)})
+        monkeypatch.setattr(harness, "LOCKSTEP_SIZES", (21, 25))
+        monkeypatch.setattr(harness, "CURVE_BLOCK", 25)
         config = small_config(
             env=EnvSpec(kind="sinusoidal", T=400, budget=4.0), policy=preset_policy("ucb1"),
             restart=RestartParams(sigma=90), reps=4 * LOCKSTEP_MIN + 7)
@@ -544,8 +548,11 @@ class TestPoolPlan:
             run_experiment(config, workers=2)
 
     def test_parent_memory_does_not_grow_with_reps(self, monkeypatch):
-        # eps-greedy runs on the scalar kernels in chunks of at most 64 reps
-        # when curves are on; each chunk's curves are dropped once folded.
+        # eps-greedy runs on the scalar kernels in blocks of at most
+        # CURVE_BLOCK reps, each folded into a (2, 4, T) sum where it is made.
+        # Per rep the parent keeps the (4, reps) totals of the summary (32 B)
+        # and std's temporaries of them; one kept T = 100 curve per rep would
+        # add 4 * 100 * 8 = 3.2 kB.
         class UntracedPool(harness.ProcessPoolExecutor):  # trace the parent only
             def __init__(self, max_workers):
                 super().__init__(max_workers, initializer=tracemalloc.stop)
@@ -562,12 +569,117 @@ class TestPoolPlan:
             finally:
                 tracemalloc.stop()
 
-        assert peak(2048) < 1.5 * peak(512)
+        peak(512)  # the pool's and the imports' one-time allocations
+        small, large = peak(512), peak(2048)
+        assert (large - small) / (2048 - 512) <= 128  # bytes per rep
 
     def test_run_experiment_rejects_fewer_than_one_worker(self):
         with pytest.raises(ConfigError) as err:
             run_experiment(small_config(), workers=0)
         assert err.value.key == "workers"
+
+
+class TestSharedPool:
+    """Blocks fold their curves where they are made, and every config shares one pool."""
+
+    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb", "eps_greedy", "thompson"])
+    def test_block_fold_is_the_rep_by_rep_fold(self, kind):
+        config = small_config(policy=preset_policy(kind), reps=LOCKSTEP_MIN + 3)
+        reps = range(2, config.reps)  # a lockstep block for the UCB family
+        block = harness._run_reps(config, reps, True)
+        kernel = [np.array([run_replication(config, rep, collect_curves=True).curves[name]
+                            for name in harness.METRIC_NAMES]) for rep in reps]
+        assert block.start == 2
+        assert block.curves.tolist() == rep_order_fold(kernel).tolist()
+
+    def test_traced_blocks_fold_one_rep_each(self):
+        config = small_config(policy=preset_policy("swucb"), reps=3, trace=True)
+        writer = csv.writer(io.StringIO())
+        for rep in range(config.reps):
+            block = harness._scalar_block(config, range(rep, rep + 1), True, writer)
+            curves = run_replication(config, rep, collect_curves=True).curves
+            one = np.array([curves[name] for name in harness.METRIC_NAMES])
+            assert block.curves.tolist() == rep_order_fold([one]).tolist()
+
+    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb"])
+    def test_curve_blocks_depend_on_reps_alone(self, kind, monkeypatch):
+        config = small_config(env=EnvSpec(kind="flip", T=200), policy=preset_policy(kind),
+                              reps=300)
+        for workers in (1, 2, 3):
+            assert pool_plan(300, workers, 2, True, lockstep=True)[1] == [
+                range(0, 100), range(100, 200), range(200, 300)]
+        facts = [summary_facts(run_experiment(config, workers, collect_curves=True))
+                 for workers in (1, 2, 3)]
+        scalar_only(monkeypatch)
+        facts.append(summary_facts(run_experiment(config, 2, collect_curves=True)))
+        assert all(f == facts[0] for f in facts)
+
+    def test_summaries_come_in_config_order(self):
+        configs = [small_config(policy=preset_policy(kind), reps=reps)
+                   for kind, reps in (("ucb1", 30), ("thompson", 5), ("ducb", 64))]
+        for curves in (False, True):
+            alone = [summary_facts(run_experiment(c, collect_curves=curves)) for c in configs]
+            for workers in (1, 2):
+                together = run_experiments(configs, workers, collect_curves=curves)
+                assert [summary_facts(s) for s in together] == alone
+
+    def test_every_config_is_validated_before_any_runs(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_run_reps", no_pool)
+        bad = small_config(env=EnvSpec(kind="flip", T=3, segments=2))
+        with pytest.raises(ConfigError, match="env: T=3 is too short"):
+            run_experiments([small_config(), bad], workers=2)
+        with pytest.raises(ConfigError, match="trace"):
+            run_experiments([small_config(trace=True)])
+
+    def test_sweep_and_scaling_are_worker_invariant(self):
+        config = small_config(reps=70)
+        one, two = (sweep(config, values=[10.0, 15.0], workers=w) for w in (1, 2))
+        assert one.points == two.points
+        assert summary_facts(one.best_summary) == summary_facts(two.best_summary)
+        one, two = (scaling_probe("flip", [100, 200, 400], reps=40, workers=w)
+                    for w in (1, 2))
+        assert one == two
+
+
+class TestMemoryLimit:
+    """Configs too large to hold are refused by ``resolve`` before anything is built."""
+
+    @given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from(["flip", "sinusoidal"]))
+    @settings(max_examples=200, deadline=None)
+    def test_huge_sizes_are_refused_before_any_allocation(self, T, reps, kind):
+        steps, totals = harness.STEP_BYTES * T, harness.REP_BYTES * reps
+        assume(steps + totals > harness.MEMORY_LIMIT)
+        config = small_config(env=EnvSpec(kind=kind, T=T), reps=reps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                config.resolve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.key == ("env.T" if steps >= totals else "reps")
+        assert peak < 64 * 1024
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        config = small_config()  # T = 300, 6 reps
+        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", need)
+        config.resolve()
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", need - 1)
+        with pytest.raises(ConfigError, match="env.T: T=300 and reps=6 need about"):
+            config.resolve()
+
+    def test_every_preset_fits(self):
+        from driftbandits.cli import REPRODUCE_PRESETS
+
+        for presets in REPRODUCE_PRESETS.values():
+            for _, _, config in presets:
+                need = harness.STEP_BYTES * config.env.T + harness.REP_BYTES * config.reps
+                assert need <= harness.MEMORY_LIMIT / 100
 
 
 class TestSweep:

@@ -35,7 +35,7 @@ from driftbandits.policy import (
 )
 from driftbandits.restart import batch_bounds, batch_size
 from driftbandits.seeding import make_rng
-from reference_loop import reference_segment
+from reference_loop import reference_segment, rep_order_fold
 
 T = 3000
 
@@ -277,18 +277,24 @@ def kernel_reps(params, env, sigma, model, seeds, curves):
 
 
 def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
+    """The block's totals are each rep's kernel totals; its folded curves are
+    the rep-order fold of the kernel curves, and a 1-rep block's are that
+    rep's kernel curves, every point."""
+    batches = batch_bounds(env.schedule.T, sigma)
     rngs = [random.Random(seed) for seed in seeds]
-    totals, block_curves = run_block(
-        params, env, model, rngs, batch_bounds(env.schedule.T, sigma), curves
-    )
+    totals, block_curves = run_block(params, env, model, rngs, batches, curves)
     assert [rng.random() for rng in rngs] == [random.Random(s).random() for s in seeds]
+    kernel_curves = []
     for i, (ref, recorder) in enumerate(kernel_reps(params, env, sigma, model, seeds, curves)):
         assert tuple(totals[:, i].tolist()) == ref
         if curves:
-            for k, name in enumerate(Totals._fields):
-                assert block_curves[k, :, i].tolist() == getattr(recorder, name)
-        else:
-            assert block_curves is None
+            kernel_curves.append(np.array([getattr(recorder, name) for name in Totals._fields]))
+            _, one = run_block(params, env, model, [random.Random(seeds[i])], batches, True)
+            assert one[0].tolist() == kernel_curves[-1].tolist()
+    if curves:
+        assert block_curves.tolist() == rep_order_fold(kernel_curves).tolist()
+    else:
+        assert block_curves is None
     return totals
 
 
