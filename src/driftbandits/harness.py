@@ -38,16 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import make_flip_env, make_sinusoidal_env, variation_of
-from .incentive import (
-    LOCKSTEP_KINDS,
-    CurveRecorder,
-    DriftModel,
-    Totals,
-    run_block,
-    run_incentivized,
-)
+from .incentive import CurveRecorder, DriftModel, Totals, run_incentivized
+from .lockstep import LOCKSTEP_KINDS, lane_bytes, run_block
 from .policy import PolicyParams, make_policy
-from .restart import RestartParams, batch_bounds, batch_size, run_restarting
+from .restart import RestartParams, batch_size, run_restarting
 from .seeding import make_rng, rep_seed
 
 __all__ = [
@@ -280,20 +274,29 @@ class Resolved:
     drift_model: DriftModel = field(compare=False)
 
 
-# What a run holds before its first step: the schedule and its per-step views
-# (``build_env``, 209 B per step at K = 2) and the (4, reps) totals (32 B per
-# rep).  A config that needs more than MEMORY_LIMIT bytes is refused, naming
-# the larger term; the limit is fixed, so the refusal is the same on every host.
-STEP_BYTES, REP_BYTES = 209, 32
+# What a run holds at once: the schedule and its per-step views
+# (``build_env``, 209 B per step at K = 2), the (4, reps) totals (32 B per
+# rep), for a UCB-family kind one lockstep block's stored step outputs (at
+# most LANE_BYTES), and with curves 320 B per step (a kernel replication's
+# curve lists and arrays, a block's and the fold's (2, 4, T) sums, and the
+# mean and stderr curves; measured with tracemalloc at T = 100,000).  A config
+# that needs more than MEMORY_LIMIT bytes is refused, naming the larger of its
+# per-step and per-rep terms; the limit is fixed, so the refusal is the same
+# on every host.
+STEP_BYTES, REP_BYTES, CURVE_BYTES = 209, 32, 320
 MEMORY_LIMIT = 2**30
 
 
-def _check_memory(T: int, reps: int) -> None:
-    steps, totals = STEP_BYTES * T, REP_BYTES * reps
-    if steps + totals > MEMORY_LIMIT:
+def _check_memory(config, collect_curves: bool = False) -> None:
+    T, reps = config.env.T, config.reps
+    steps = (STEP_BYTES + (CURVE_BYTES if collect_curves else 0)) * T
+    totals = REP_BYTES * reps
+    blocks = LANE_BYTES if config.policy.kind in LOCKSTEP_KINDS else 0
+    if steps + totals + blocks > MEMORY_LIMIT:
         raise ConfigError(
             "env.T" if steps >= totals else "reps",
-            f"T={T} and reps={reps} need about {(steps + totals) / 2**30:.3g} GiB, "
+            f"T={T} and reps={reps}{' with curves' if collect_curves else ''} need about "
+            f"{(steps + totals + blocks) / 2**30:.3g} GiB, "
             f"over the {MEMORY_LIMIT / 2**30:g} GiB limit")
 
 
@@ -376,7 +379,7 @@ class ExperimentConfig:
 
     def resolve(self) -> Resolved:
         """Apply tuning formulas and environment measurements."""
-        _check_memory(self.env.T, self.reps)
+        _check_memory(self)
         envobj = build_env(self.env)
         T, K = envobj.T, envobj.K
         beta = max(1, envobj.beta)  # the tuning formulas need at least 1
@@ -555,21 +558,35 @@ def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
     return Block(reps.start, values, curves)
 
 
+def _lanes(resolved: Resolved) -> tuple[int, int]:
+    """Lockstep lanes per replication (its restart batches) and the bytes a
+    replication's lanes store; ``(0, 0)`` for a kind without a lockstep engine."""
+    params = resolved.policy_params
+    if params.kind not in LOCKSTEP_KINDS:
+        return 0, 0
+    sigma = resolved.sigma or resolved.T  # one batch without restarts
+    return -(-resolved.T // sigma), lane_bytes(params, resolved.T, resolved.K, sigma)
+
+
 def _run_reps(config: ExperimentConfig, reps: range, collect_curves: bool) -> Block:
     """The replications ``reps`` as one block.
 
-    A block of at least ``LOCKSTEP_MIN`` UCB-family reps runs in lockstep;
-    if a step check fails there, the block reruns on the scalar kernels,
-    which raise as they always do.
+    A UCB-family block of at least ``LOCKSTEP_MIN`` lanes (reps times restart
+    batches) whose lanes store at most ``LANE_BYTES`` runs in lockstep; if a
+    step check fails there, the block reruns on the scalar kernels, which
+    raise as they always do.
     """
-    if len(reps) >= LOCKSTEP_MIN and config.policy.kind in LOCKSTEP_KINDS:
+    # without restarts a replication is one lane
+    if config.policy.kind in LOCKSTEP_KINDS and (
+            config.restart is not None or len(reps) >= LOCKSTEP_MIN):
         resolved = config.resolve()
-        batches = batch_bounds(resolved.T, resolved.sigma or resolved.T)  # 1 batch if no restarts
-        rngs = [make_rng(config.base_seed, rep) for rep in reps]
-        out = run_block(resolved.policy_params, build_env(config.env),
-                        resolved.drift_model, rngs, batches, collect_curves)
-        if out is not None:
-            return Block(reps.start, *out)
+        lanes, rep_bytes = _lanes(resolved)
+        if len(reps) * lanes >= LOCKSTEP_MIN and len(reps) * rep_bytes <= LANE_BYTES:
+            rngs = [make_rng(config.base_seed, rep) for rep in reps]
+            out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
+                            rngs, resolved.sigma or resolved.T, collect_curves)
+            if out is not None:
+                return Block(reps.start, *out)
     return _scalar_block(config, reps, collect_curves)
 
 
@@ -608,36 +625,42 @@ class ExperimentSummary:
 
 
 # Block sizes, measured on 2 cores (README "Block sizes").  A block of at
-# least LOCKSTEP_MIN UCB-family reps runs in lockstep.  A summary-only
-# lockstep run is split over the pool only when every piece gets at least the
-# split size, and cut into blocks of at most the largest block.  A run with
-# curves is cut by its rep count alone into blocks of at most CURVE_BLOCK
-# reps, so its float additions are the same at any worker count and on
-# either engine.
+# least LOCKSTEP_MIN UCB-family lanes (reps times restart batches) whose lanes
+# store at most LANE_BYTES runs in lockstep.  A summary-only lockstep run is
+# split over the pool only when every piece gets at least the split size, and
+# cut into blocks of at most the largest block and of at most LANE_BYTES.  A
+# run with curves is cut by its config alone into blocks of at most
+# CURVE_BLOCK reps (and of at most LANE_BYTES), so its float additions are
+# the same at any worker count and on either engine.
 LOCKSTEP_MIN = 20
-LOCKSTEP_SIZES = (64, 256)  # summaries only: (split, largest)
+LOCKSTEP_SIZES = (64, 256)  # summaries only, in reps: (split, largest)
 CURVE_BLOCK = 128
+LANE_BYTES = 8 * 2**20
 
 
 def pool_plan(
-    reps: int, workers: int, cpus: int, collect_curves: bool, lockstep: bool = False
+    reps: int, workers: int, cpus: int, collect_curves: bool, lanes: int = 0, rep_bytes: int = 0
 ) -> tuple[int, list]:
     """Pool size for this run alone, and the rep ranges it runs, one block each.
 
-    ``workers`` is clamped to ``cpus`` before sizing the blocks, and the pool
-    to the number of blocks, so a large request starts no more processes
-    than can run at once.  A pool size of 1 means: run in-process.  Blocks
-    are near-equal.  A run with curves gets blocks of at most
-    ``CURVE_BLOCK`` reps, cut by ``reps`` alone; a summary-only ``lockstep``
-    run gets a few large blocks, as many for each pool process.
+    ``lanes`` and ``rep_bytes`` are a UCB-family run's lockstep lanes and
+    stored bytes per replication (0 for other kinds).  ``workers`` is clamped
+    to ``cpus`` before sizing the blocks, and the pool to the number of
+    blocks, so a large request starts no more processes than can run at once.
+    A pool size of 1 means: run in-process.  Blocks are near-equal.  A run
+    with curves gets blocks of at most ``CURVE_BLOCK`` reps, cut by the
+    config alone; a summary-only lockstep run gets a few large blocks, as
+    many for each pool process.
     """
     workers = min(workers, cpus)
-    if collect_curves:
-        blocks = math.ceil(reps / CURVE_BLOCK)
-    elif lockstep and reps >= LOCKSTEP_MIN:
-        split, most = LOCKSTEP_SIZES
+    # the most reps a lockstep block holds: those whose lanes fit in LANE_BYTES
+    most = min(reps, LANE_BYTES // rep_bytes) if rep_bytes else reps
+    if collect_curves:  # no lockstep block at all (most = 0): CURVE_BLOCK alone
+        blocks = math.ceil(reps / min(CURVE_BLOCK, most or reps))
+    elif lanes * most >= LOCKSTEP_MIN:
+        split, largest = LOCKSTEP_SIZES
         pool = max(1, min(workers, reps // split))
-        blocks = pool * math.ceil(math.ceil(reps / most) / pool)
+        blocks = pool * math.ceil(math.ceil(reps / min(largest, most)) / pool)
     else:  # about four per worker
         blocks = math.ceil(reps / math.ceil(reps / (workers * 4)))
     cuts = [reps * i // blocks for i in range(blocks + 1)]
@@ -652,13 +675,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _validate(configs: list, workers: int, trace_path=None) -> list:
+def _validate(configs: list, workers: int, collect_curves: bool, trace_path=None) -> list:
     """Every config's :class:`Resolved`, or the first refusal."""
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers}")
     for config in configs:
         if config.trace and trace_path is None:
             raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
+        _check_memory(config, collect_curves)  # before resolve() builds the schedule
     return [config.resolve() for config in configs]
 
 
@@ -712,10 +736,10 @@ def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
     are refused: only ``run_experiment`` writes a trace.
     """
     configs = list(configs)
-    resolved = _validate(configs, workers)
+    resolved = _validate(configs, workers, collect_curves)
     cpus = _cpu_count()
-    plans = [pool_plan(config.reps, workers, cpus, collect_curves,
-                       config.policy.kind in LOCKSTEP_KINDS)[1] for config in configs]
+    plans = [pool_plan(config.reps, workers, cpus, collect_curves, *_lanes(res))[1]
+             for config, res in zip(configs, resolved)]
     pool = min(workers, cpus, sum(map(len, plans)))
     return _run_plans(configs, resolved, plans, pool, collect_curves)
 
@@ -752,7 +776,7 @@ def run_experiment(
     if not config.trace:
         (summary,) = run_experiments([config], workers, collect_curves)
         return summary
-    (resolved,) = _validate([config], workers, trace_path)
+    (resolved,) = _validate([config], workers, collect_curves, trace_path)
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER.split(","))

@@ -16,8 +16,8 @@ and drift methods and the ``random.Random`` draws they make (``randrange``,
 ``betavariate``, ``gammavariate``), take the run's :class:`Totals` and
 return them updated, and append to a :class:`CurveRecorder` only when one is
 supplied.
-``run_block`` runs a block of replications of one UCB-family config in
-lockstep, bit-identical to the kernels rep by rep.
+``lockstep.run_block`` runs many replications of a UCB-family config at
+once, bit-identical to these kernels rep by rep.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from math import exp, inf, log, sqrt
 from random import LOG4, SG_MAGICCONST, Random
 from typing import NamedTuple
-
-import numpy as np
 
 from .policy import (
     DucbPolicy,
@@ -46,7 +44,6 @@ __all__ = [
     "incentive_step",
     "run_segment",
     "run_incentivized",
-    "run_block",
 ]
 
 
@@ -636,165 +633,6 @@ _KERNELS = {
     EpsGreedyPolicy: _eps_greedy_segment,
     ThompsonPolicy: _thompson_segment,
 }
-
-
-# ---------------------------------------------------------------------------
-# Lockstep block engine.
-#
-# ``run_block`` steps R replications of one UCB1, DUCB or SWUCB config
-# together on (R, K) arrays, and is bit-identical to the kernels above rep
-# by rep:
-# * each rep's uniforms come from a numpy ``RandomState`` loaded with its
-#   ``random.Random`` state, whose ``random_sample`` returns the doubles of
-#   ``random()``; the UCB family draws exactly one per step;
-# * the one transcendental term, the log of a count every rep shares, stays
-#   one scalar ``math.log`` per step (numpy's ``log`` is not libm's);
-# * the rest is + - * / and sqrt, which numpy rounds as Python does, and
-#   ``argmax`` takes the first maximum, as the kernels' strict ``>`` does;
-# * the totals and curves are sequential ``add.accumulate`` sums of the
-#   kernels' per-step increments;
-# * each chunk's curves are folded over the reps as soon as it is summed, by
-#   ``add.reduce`` over a leading rep axis, which adds one rep's rows after
-#   another in rep order (numpy's pairwise summation only runs along the
-#   innermost axis).
-# The step checks run once per chunk of steps and are stricter than the
-# kernels' (any non-finite compensation fails too): the caller reruns a
-# failed block on the kernels, which raise or finish exactly as always.
-
-LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb")
-_CHUNK_DOUBLES = 1 << 14  # uniforms drawn at a time, over all reps of a block
-
-
-def _stream(rng: Random) -> np.random.RandomState:
-    """A numpy stream that continues ``rng``: the same Mersenne Twister state."""
-    key = rng.getstate()[1]
-    stream = np.random.RandomState(0)
-    stream.set_state(("MT19937", np.array(key[:-1], dtype=np.uint32), key[-1]))
-    return stream
-
-
-def run_block(params, env, model: DriftModel, rngs, batches, collect_curves=False):
-    """Run one replication per stream of ``rngs`` in lockstep; ``rngs`` are untouched.
-
-    ``batches`` are the inclusive step ranges of the restart batches (one
-    ``(1, T)`` without restarts).  Returns ``(totals, curves)``: the
-    :class:`Totals` fields of every rep as a (4, R) array, and the (2, 4, T)
-    sum and sum of squares of their curves over the reps, added in rep order,
-    or ``None``.  Returns ``None`` when a step check fails, and raises
-    ``FloatingPointError`` when a curve sum or square overflows.
-    """
-    means = env.schedule.means
-    flat_means = means.reshape(-1)
-    best = means.max(axis=1)
-    T, K = means.shape
-    R = len(rngs)
-    kind, xi, gamma, tau = params.kind, params.xi, params.gamma, params.tau
-    l, cap = model.l, (model.cap if model.kind == "saturating" else None)
-    streams = [_stream(rng) for rng in rngs]
-    chunk = max(1, _CHUNK_DOUBLES // R)
-    u, x, chi, r = np.empty((4, chunk, R))
-    arm = np.empty((chunk, R), dtype=np.intp)
-    wins = np.empty((chunk, R, K))  # wins[j, i, a]: the reward x if rep i pulls a
-    # cum[:, 1 + j] holds the totals after a chunk's step j, and row 0 carries
-    # the totals over from the chunk before.
-    cum = np.zeros((4, chunk + 1, R))
-    curves = by_rep = None
-    if collect_curves:
-        curves = np.zeros((2, 4, T))
-        by_rep = np.empty((R, 4, chunk))  # one chunk of curves, rep axis first
-    ar_k = np.arange(R) * K
-    with np.errstate(all="ignore"):
-        for start, stop in batches:
-            n = np.zeros((R, K))  # pull count, discounted count or window count
-            s = np.zeros((R, K))  # the matching reward sum
-            nf, sf = n.reshape(-1), s.reshape(-1)
-            n_obs, n_disc = 0, 0.0
-            # DUCB: a count decayed since the batch's first step; while it is
-            # above 0, no discounted count has underflowed to 0.
-            least = 1.0
-            if kind == "swucb":  # the window never holds more than T pulls
-                ring_idx = np.empty((min(tau, T), R), dtype=np.intp)
-                ring_r = np.empty((min(tau, T), R))
-            for c0 in range(start, stop + 1, chunk):
-                m = min(chunk, stop + 1 - c0)
-                for i, stream in enumerate(streams):
-                    u[:m, i] = stream.random_sample(m)
-                np.less(u[:m, :, None], means[c0 - 1:c0 - 1 + m, None, :], out=wins[:m])
-                for j in range(m):
-                    if n_obs < K:  # round-robin: no greedy arm, no compensation
-                        a = np.full(R, n_obs)
-                        idx = a + ar_k
-                        chi[j] = 0.0
-                    else:
-                        if kind == "ucb1":
-                            c = 2.0 * log(n_obs)
-                        elif kind == "ducb":
-                            c = xi * log(n_disc)
-                        else:
-                            c = xi * log(n_obs if n_obs < tau else tau)
-                        e = s / n
-                        v = c / n
-                        np.sqrt(v, out=v)
-                        if kind == "ducb":
-                            v *= 2.0
-                        v += e
-                        if (kind == "swucb" or least == 0.0) and not n.all():
-                            empty = n == 0.0
-                            e[empty] = 0.0
-                            v[empty] = inf
-                        a = v.argmax(axis=1)
-                        idx = a + ar_k
-                        greedy = e[:, 0]
-                        for i in range(1, K):
-                            greedy = np.maximum(greedy, e[:, i])
-                        np.subtract(greedy, e.take(idx), out=chi[j])
-                    arm[j] = a
-                    rj = r[j]
-                    if cap is None:
-                        np.multiply(chi[j], l, out=rj)
-                    else:
-                        np.minimum(chi[j], cap, out=rj)
-                        rj *= l
-                    rj += wins[j].take(idx, out=x[j])
-                    if kind == "ducb":
-                        n *= gamma
-                        s *= gamma
-                        n_disc = gamma * n_disc + 1.0
-                        least *= gamma
-                    elif kind == "swucb":
-                        h = n_obs % tau
-                        if n_obs >= tau:
-                            old = ring_idx[h]
-                            nf[old] -= 1.0
-                            sf[old] -= ring_r[h]
-                        ring_idx[h] = idx
-                        ring_r[h] = rj
-                    nf[idx] += 1.0
-                    sf[idx] += rj
-                    n_obs += 1
-                if not (((chi[:m] >= 0.0) & (chi[:m] < inf)).all()
-                        and ((r[:m] >= 0.0) & (r[:m] < inf)).all()):
-                    return None
-                rows = slice(1, m + 1)
-                steps = np.arange(c0 - 1, c0 - 1 + m)
-                mu_star = best[steps, None]
-                np.subtract(mu_star, flat_means.take(steps[:, None] * K + arm[:m]),
-                            out=cum[0, rows])
-                np.subtract(mu_star, x[:m], out=cum[1, rows])
-                cum[2, rows] = chi[:m]
-                cum[3, rows] = x[:m]
-                span = cum[:, :m + 1]
-                np.add.accumulate(span, axis=1, out=span)
-                if collect_curves:
-                    cols = slice(c0 - 1, c0 - 1 + m)
-                    reps_first = by_rep[:, :, :m]
-                    np.copyto(reps_first, np.moveaxis(cum[:, rows], 2, 0))
-                    with np.errstate(over="raise"):
-                        np.add.reduce(reps_first, axis=0, out=curves[0, :, cols], initial=0.0)
-                        np.square(reps_first, out=reps_first)
-                        np.add.reduce(reps_first, axis=0, out=curves[1, :, cols], initial=0.0)
-                cum[:, 0] = cum[:, m]
-    return cum[:, 0], curves
 
 
 def incentive_step(

@@ -1,0 +1,270 @@
+"""The lockstep block engine: many replications of one UCB1, DUCB or SWUCB
+config at once, bit-identical to the step kernels of ``incentive`` rep by rep.
+
+``run_block`` keeps each statistic as an array with one row per lane and
+advances every lane with one Python loop over the steps.  A lane is a
+(replication, restart batch) pair: a restart batch starts from a fresh
+policy, and a UCB-family step draws exactly one uniform, in the round-robin
+too, so batch b of rep i reads exactly doubles ``start_b - 1 .. stop_b - 1``
+of rep i's stream, and every lane can step at once.  Without restarts the
+lanes are the reps.
+
+* Each rep's uniforms are the doubles of its ``random.Random``, made by a
+  copy of its Mersenne Twister vectorized over the reps (``_Streams``).
+* Every lane has taken the same number of local steps, so the one
+  transcendental term, the log of that count, stays one scalar ``math.log``
+  per step (numpy's ``log`` is not libm's).
+* The rest is + - * / and sqrt, which numpy rounds as Python does, and
+  ``argmax`` takes the first maximum, as the kernels' strict ``>`` does.
+* A lane stores only its arm and its compensation per step; a second pass
+  rebuilds the kernels' per-step increments in time order, rep by rep, and
+  sums them with sequential ``add.accumulate`` from the carried totals.
+* Each chunk's curves are folded over the reps as soon as it is summed, by
+  ``add.reduce`` over a leading rep axis, which adds one rep's rows after
+  another in rep order (numpy's pairwise summation only runs along the
+  innermost axis).
+
+The step checks run once per chunk of steps and are stricter than the
+kernels' (any non-finite compensation fails too): the caller reruns a failed
+block on the kernels, which raise or finish exactly as always.
+"""
+
+from __future__ import annotations
+
+from math import inf, log
+
+import numpy as np
+
+from .incentive import DriftModel
+
+__all__ = ["LOCKSTEP_KINDS", "lane_bytes", "run_block"]
+
+LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb")
+# Steps at a time, over all reps: without restarts 2^14 uniforms are drawn,
+# stepped and summed at a time; with restarts the draws and the second pass
+# go T / 16 steps at a time, and at most 2^14 lane-steps.
+_CHUNK_DOUBLES = 1 << 14
+_FOLD_CHUNKS = 16
+_UPPER, _LOWER, _MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
+
+
+def _twist(mt: np.ndarray) -> np.ndarray:
+    """MT19937's next 624 words of every (624,) row of ``mt``, as CPython makes them.
+
+    Word k mixes old words k and k + 1 (all 623 mixes read old words), and is
+    xored with word k + 397: old words for k < 227, new ones after that.
+    """
+    y = (mt[:, :-1] & _UPPER) | (mt[:, 1:] & _LOWER)
+    y = (y >> 1) ^ ((y & 1) * _MATRIX_A)
+    new = np.empty_like(mt)
+    np.bitwise_xor(mt[:, 397:], y[:, :227], out=new[:, :227])
+    np.bitwise_xor(new[:, :227], y[:, 227:454], out=new[:, 227:454])
+    np.bitwise_xor(new[:, 227:396], y[:, 454:], out=new[:, 454:623])
+    y = (mt[:, 623] & _UPPER) | (new[:, 0] & _LOWER)
+    new[:, 623] = new[:, 396] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+    return new
+
+
+def _temper(y: np.ndarray) -> np.ndarray:
+    y = y ^ (y >> 11)
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    return y ^ (y >> 18)
+
+
+class _Streams:
+    """The ``random()`` doubles of R ``random.Random`` streams, drawn together.
+
+    ``random.Random`` is MT19937: this runs its generation step and its
+    tempering on the (R, 624) uint32 states of ``getstate()``, vectorized
+    over the streams, and makes each double from two words as ``random()``
+    does, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  The streams must stand
+    at one position, as freshly seeded ones do; they are left untouched.
+    """
+
+    def __init__(self, rngs):
+        state = np.array([rng.getstate()[1] for rng in rngs], dtype=np.int64)
+        at = state[0, -1]
+        if (state[:, -1] != at).any():
+            raise ValueError("the streams stand at different positions")
+        self.mt = state[:, :-1].astype(np.uint32)
+        self.words = _temper(self.mt)[:, at:]  # drawn and not yet read
+
+    def doubles(self, n: int) -> np.ndarray:
+        """The next ``n`` doubles of every stream, as an (R, n) array."""
+        while self.words.shape[1] < 2 * n:
+            self.mt = _twist(self.mt)
+            self.words = np.concatenate((self.words, _temper(self.mt)), axis=1)
+        w, self.words = self.words[:, :2 * n], self.words[:, 2 * n:]
+        return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _in_range(a: np.ndarray) -> bool:
+    """Whether every value lies in [0, inf); NaN fails."""
+    return 0.0 <= a.min() and a.max() < inf
+
+
+def _arm_dtype(K: int) -> np.dtype:
+    return np.min_scalar_type(K - 1)
+
+
+def lane_bytes(params, T: int, K: int, sigma: int) -> int:
+    """Bytes ``run_block`` stores per replication when restarting every ``sigma`` steps.
+
+    With restarts, every lane-step keeps its arm wins (K bools), its arm and
+    its compensation until the second pass; a SWUCB window shorter than a
+    batch keeps a ring of (index, reward) pairs per lane.  A run without
+    restarts stores nothing per step beyond a fixed-size chunk.
+    """
+    batches = -(-T // sigma)
+    stored = 0 if batches == 1 else batches * sigma * (K + _arm_dtype(K).itemsize + 8)
+    if params.kind == "swucb" and params.tau < sigma:
+        stored += batches * params.tau * 16
+    return stored
+
+
+def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=False):
+    """Run one replication per stream of ``rngs`` in lockstep; ``rngs`` are untouched.
+
+    The policy restarts every ``sigma`` steps (``sigma = T`` without
+    restarts).  Returns ``(totals, curves)``: the :class:`Totals` fields of
+    every rep as a (4, R) array, and the (2, 4, T) sum and sum of squares of
+    their curves over the reps, added in rep order, or ``None``.  Returns
+    ``None`` when a step check fails, and raises ``FloatingPointError`` when a
+    curve sum or square overflows.
+    """
+    means = env.schedule.means
+    T, K = means.shape
+    R = len(rngs)
+    batches = -(-T // sigma)
+    L = batches * R  # lane (b, i) is column b * R + i
+    kind, xi, gamma, tau = params.kind, params.xi, params.gamma, params.tau
+    l, cap = model.l, (model.cap if model.kind == "saturating" else None)
+    streams = _Streams(rngs)
+    # The buffers hold a span of local steps, row j holding step j of every
+    # lane.  Without restarts a span is a chunk of steps, drawn, stepped and
+    # summed before the next; with restarts it is a whole batch, every
+    # lane's steps drawn first and summed after, in chunks of ``fold``
+    # steps.  Step b * span + j of the span is row j, batch b: with rows
+    # split by batch, row j * batches + b.  Lanes of a truncated last batch
+    # run padded steps, which no check or sum reads.
+    if batches == 1:
+        span = fold = min(T, max(1, _CHUNK_DOUBLES // R))
+    else:
+        span, fold = sigma, max(1, min(-(-T // _FOLD_CHUNKS), _CHUNK_DOUBLES // R))
+    wins = np.zeros((span, batches, R, K), dtype=bool)  # the reward x if a lane pulls an arm
+    wins_rows, lane_wins = wins.reshape(-1, R, K), wins.reshape(span, L, K)
+    step_rows = np.arange(span * batches).reshape(span, batches).T.reshape(-1)
+    r = np.empty(L)  # the lanes' drifted rewards of one step
+    # cum[:, 1 + j] holds the totals after a summed chunk's step j, and row 0
+    # carries the totals over from the chunk before.
+    cum = np.zeros((4, fold + 1, R))
+    curves = by_rep = None
+    if collect_curves:
+        curves = np.zeros((2, 4, T))
+        by_rep = np.empty((R, 4, fold))  # one chunk of curves, rep axis first
+    ar_k = np.arange(0, L * K, K)  # flat offset of a lane's arm 0
+    # flat offsets of arm 0 in a chunk's rows of wins and of means
+    x_at = np.arange(0, fold * R * K, K).reshape(fold, R)
+    mu_at = np.arange(0, fold * K, K)[:, None]
+    n = np.zeros((L, K))  # pull count, discounted count or window count
+    s = np.zeros((L, K))  # the matching reward sum
+    nf, sf = n.reshape(-1), s.reshape(-1)
+    n_obs, n_disc = 0, 0.0
+    # DUCB: a count decayed since the batch's first step; while it is above
+    # 0, no discounted count has underflowed to 0.
+    least = 1.0
+    ring = kind == "swucb" and tau < sigma  # else the window never drops a pull
+    if ring:
+        ring_idx = np.empty((tau, L), dtype=np.intp)
+        ring_r = np.empty((tau, L))
+    with np.errstate(all="ignore"):
+        for first in range(0, sigma, span):
+            stop = min(first + span, T) if batches == 1 else T
+            for c0 in range(first, stop, fold):
+                m = min(fold, stop - c0)
+                u = streams.doubles(m).T
+                wins_rows[step_rows[c0 - first:c0 - first + m]] = (
+                    u[:, :, None] < means[c0:c0 + m, None, :])
+            arm = np.empty((span, L), dtype=_arm_dtype(K))  # each lane-step's arm
+            chi = np.empty((span, L))  # and its compensation
+            for j in range(min(span, sigma - first)):
+                if n_obs < K:  # round-robin: no greedy arm, no compensation
+                    idx = ar_k + n_obs
+                    arm[j] = n_obs
+                    chi[j] = 0.0
+                else:
+                    if kind == "ucb1":
+                        c = 2.0 * log(n_obs)
+                    elif kind == "ducb":
+                        c = xi * log(n_disc)
+                    else:
+                        c = xi * log(n_obs if n_obs < tau else tau)
+                    e = s / n
+                    v = c / n
+                    np.sqrt(v, out=v)
+                    if kind == "ducb":
+                        v *= 2.0
+                    v += e
+                    if (kind == "swucb" or least == 0.0) and not n.all():
+                        empty = n == 0.0
+                        e[empty] = 0.0
+                        v[empty] = inf
+                    a = v.argmax(axis=1)
+                    arm[j] = a
+                    idx = a + ar_k
+                    greedy = e[:, 0]
+                    for i in range(1, K):
+                        greedy = np.maximum(greedy, e[:, i])
+                    np.subtract(greedy, e.take(idx), out=chi[j])
+                if cap is None:
+                    np.multiply(chi[j], l, out=r)
+                else:
+                    np.minimum(chi[j], cap, out=r)
+                    r *= l
+                r += lane_wins[j].take(idx)
+                if kind == "ducb":
+                    n *= gamma
+                    s *= gamma
+                    n_disc = gamma * n_disc + 1.0
+                    least *= gamma
+                elif ring:
+                    h = n_obs % tau
+                    if n_obs >= tau:
+                        old = ring_idx[h]
+                        nf[old] -= 1.0
+                        sf[old] -= ring_r[h]
+                    ring_idx[h] = idx
+                    ring_r[h] = r
+                nf[idx] += 1.0
+                sf[idx] += r
+                n_obs += 1
+            # Sum the span's steps in time order, rep by rep.
+            by_step = (arm.reshape(-1, R), chi.reshape(-1, R), wins_rows)
+            for c0 in range(first, stop, fold):
+                m = min(fold, stop - c0)
+                at = step_rows[c0 - first:c0 - first + m]
+                arm_c, chi_c, wins_c = (a.take(at, axis=0) for a in by_step)
+                x_c = wins_c.reshape(-1).take(x_at[:m] + arm_c)
+                r_c = (chi_c if cap is None else np.minimum(chi_c, cap)) * l + x_c
+                if not (_in_range(chi_c) and _in_range(r_c)):
+                    return None
+                steps = slice(c0, c0 + m)
+                mu_star = means[steps].max(axis=1, keepdims=True)
+                sums = slice(1, m + 1)
+                np.subtract(mu_star, means[steps].reshape(-1).take(mu_at[:m] + arm_c),
+                            out=cum[0, sums])
+                np.subtract(mu_star, x_c, out=cum[1, sums])
+                cum[2, sums] = chi_c
+                cum[3, sums] = x_c
+                part = cum[:, :m + 1]
+                np.add.accumulate(part, axis=1, out=part)
+                if collect_curves:
+                    reps_first = by_rep[:, :, :m]
+                    np.copyto(reps_first, np.moveaxis(cum[:, sums], 2, 0))
+                    with np.errstate(over="raise"):
+                        np.add.reduce(reps_first, axis=0, out=curves[0, :, steps], initial=0.0)
+                        np.square(reps_first, out=reps_first)
+                        np.add.reduce(reps_first, axis=0, out=curves[1, :, steps], initial=0.0)
+                cum[:, 0] = cum[:, m]
+    return cum[:, 0], curves

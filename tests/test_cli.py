@@ -303,6 +303,15 @@ def test_sizes_too_large_to_hold_exit_2_and_name_the_key(tmp_path, capsys, key, 
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
+def test_figure_curves_too_large_to_hold_exit_2_and_name_the_key(tmp_path, capsys):
+    # the schedule alone would pass at T = 4e6; with the curve sums it does not
+    code = main(["reproduce", "fig2", "--set", "env.T=4000000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error: env.T: T=4000000 and reps=100 with curves need about" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 def test_scaling_writes_report(tmp_path):
     out = tmp_path / "o"
     code = main(["scaling", "--family", "flip", "--policy", "ducb",

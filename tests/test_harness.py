@@ -16,19 +16,23 @@ from hypothesis import strategies as st
 import driftbandits.harness as harness
 from driftbandits.harness import (
     _SCHEMA,
+    CURVE_BLOCK,
     LOCKSTEP_MIN,
+    LOCKSTEP_SIZES,
     ConfigError,
     EnvSpec,
     ExperimentConfig,
     TRACE_HEADER,
     build_env,
     fit_loglog,
+    flip_config,
     pool_plan,
     preset_policy,
     run_experiment,
     run_experiments,
     run_replication,
     scaling_probe,
+    sinusoidal_config,
     sweep,
     tuned_gamma,
     tuned_tau,
@@ -468,7 +472,8 @@ class TestLockstep:
         config = small_config(
             env=EnvSpec(kind="sinusoidal", T=400, budget=4.0), policy=preset_policy("ucb1"),
             restart=RestartParams(sigma=90), reps=4 * LOCKSTEP_MIN + 7)
-        pool, ranges = pool_plan(config.reps, workers, 2, curves, lockstep=True)
+        pool, ranges = pool_plan(config.reps, workers, 2, curves,
+                                 *harness._lanes(config.resolve()))
         assert pool == workers
         sizes = sorted({len(r) for r in ranges})
         assert len(sizes) == 2 and sizes[0] >= LOCKSTEP_MIN
@@ -491,12 +496,24 @@ class TestLockstep:
         # untraced, the reps are one lockstep block; traced, the trace source
         # runs them on the kernels one at a time
         config = small_config(policy=preset_policy("swucb"), reps=LOCKSTEP_MIN)
-        assert pool_plan(config.reps, 1, 1, True, lockstep=True) == (1, [range(config.reps)])
+        assert pool_plan(config.reps, 1, 1, True, lanes=1) == (1, [range(config.reps)])
         block = run_experiment(config, collect_curves=True)
         traced = run_experiment(dataclasses.replace(config, trace=True), collect_curves=True,
                                 trace_path=tmp_path / "trace.csv")
         assert summary_facts(traced)[1:] == summary_facts(block)[1:]
         assert traced.to_json_dict()["metrics"] == block.to_json_dict()["metrics"]
+
+    def test_restart_batches_make_a_few_reps_one_block(self, monkeypatch):
+        # drift-restart's UCB1 cell: 8 reps, 27 batches each, so 216 lanes
+        sizes = []
+        original = harness.run_block
+        monkeypatch.setattr(harness, "run_block",
+                            lambda *args: sizes.append(len(args[3])) or original(*args))
+        run_experiment(sinusoidal_config(24.0, PolicyParams(kind="ucb1"), reps=8, lam=3.0))
+        assert sizes == [8]
+        # 12 reps without restarts are 12 lanes: the scalar kernels run them
+        run_experiment(flip_config(3, PolicyParams(kind="ucb1"), reps=12))
+        assert sizes == [8]
 
     def test_drift_overflow_in_a_block_is_refused_as_on_the_kernels(self):
         config = small_config(env=EnvSpec(kind="flip", T=5000, segments=4),
@@ -522,15 +539,37 @@ class TestPoolPlan:
 
     def test_lockstep_run_is_one_block_until_it_pays_to_split(self):
         # reproduce fig2's cells: 64 reps with curves on 2 workers
-        assert pool_plan(64, 2, 2, True, lockstep=True) == (1, [range(64)])
-        pool, ranges = pool_plan(2000, 2, 2, False, lockstep=True)
+        assert pool_plan(64, 2, 2, True, lanes=1) == (1, [range(64)])
+        pool, ranges = pool_plan(2000, 2, 2, False, lanes=1)
         assert pool == 2
         assert [len(r) for r in ranges] == [250] * 8
         assert [rep for r in ranges for rep in r] == list(range(2000))
+        # drift-restart's UCB1 cell: 8 reps of 27 restart batches on 1 worker
+        lanes, rep_bytes = harness._lanes(
+            sinusoidal_config(24.0, PolicyParams(kind="ucb1"), reps=8, lam=3.0).resolve())
+        assert lanes == 27
+        assert pool_plan(8, 1, 2, False, lanes, rep_bytes) == (1, [range(8)])
+
+    def test_restart_blocks_are_cut_by_their_stored_bytes(self):
+        # table 3's UCB1 cells at 2000 reps: no block stores more than LANE_BYTES
+        for budget in (3.0, 24.0):
+            config = sinusoidal_config(budget, PolicyParams(kind="ucb1"), lam=3.0)
+            lanes, rep_bytes = harness._lanes(config.resolve())
+            for curves in (False, True):
+                pool, ranges = pool_plan(2000, 2, 2, curves, lanes, rep_bytes)
+                assert pool == 2
+                assert max(map(len, ranges)) * rep_bytes <= harness.LANE_BYTES
+                assert max(map(len, ranges)) <= (CURVE_BLOCK if curves else LOCKSTEP_SIZES[1])
+                assert [rep for r in ranges for rep in r] == list(range(2000))
 
     def test_lockstep_below_the_crossover_keeps_the_scalar_plan(self):
         reps = LOCKSTEP_MIN - 1
-        assert pool_plan(reps, 2, 2, False, lockstep=True) == pool_plan(reps, 2, 2, False)
+        assert pool_plan(reps, 2, 2, False, lanes=1) == pool_plan(reps, 2, 2, False)
+        # abrupt-ucb's cells: 12 reps without restarts are 12 lanes
+        assert pool_plan(12, 1, 2, False, lanes=1) == pool_plan(12, 1, 2, False)
+        # a run whose one replication stores more than LANE_BYTES has no lockstep plan
+        assert (pool_plan(40, 2, 2, False, 27, harness.LANE_BYTES + 1)
+                == pool_plan(40, 2, 2, False))
 
     def test_workers_clamped_to_the_cpu_affinity(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -606,7 +645,7 @@ class TestSharedPool:
         config = small_config(env=EnvSpec(kind="flip", T=200), policy=preset_policy(kind),
                               reps=300)
         for workers in (1, 2, 3):
-            assert pool_plan(300, workers, 2, True, lockstep=True)[1] == [
+            assert pool_plan(300, workers, 2, True, lanes=1)[1] == [
                 range(0, 100), range(100, 200), range(200, 300)]
         facts = [summary_facts(run_experiment(config, workers, collect_curves=True))
                  for workers in (1, 2, 3)]
@@ -665,13 +704,17 @@ class TestMemoryLimit:
         assert peak < 64 * 1024
 
     def test_limit_is_inclusive(self, monkeypatch):
-        config = small_config()  # T = 300, 6 reps
-        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6
+        config = small_config()  # T = 300, 6 reps of DUCB, which has a lockstep engine
+        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6 + harness.LANE_BYTES
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need)
         config.resolve()
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need - 1)
         with pytest.raises(ConfigError, match="env.T: T=300 and reps=6 need about"):
             config.resolve()
+        with pytest.raises(ConfigError, match="env.T: T=300 and reps=6 with curves need about"):
+            run_experiment(config, collect_curves=True)
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", need + harness.CURVE_BYTES * 300)
+        run_experiment(config, collect_curves=True)
 
     def test_every_preset_fits(self):
         from driftbandits.cli import REPRODUCE_PRESETS
@@ -680,6 +723,28 @@ class TestMemoryLimit:
             for _, _, config in presets:
                 need = harness.STEP_BYTES * config.env.T + harness.REP_BYTES * config.reps
                 assert need <= harness.MEMORY_LIMIT / 100
+
+    def test_every_preset_is_admitted_with_its_curves_and_blocks(self):
+        from driftbandits.cli import FIGURE_CURVES, REPRODUCE_PRESETS
+
+        for target, presets in REPRODUCE_PRESETS.items():
+            for _, _, config in presets:
+                harness._check_memory(config, target in FIGURE_CURVES)
+
+    def test_curves_count_against_the_limit_before_anything_is_built(self):
+        # fig2 at T = 4e6: its schedule (0.78 GiB) alone fits, but not with its curves
+        config = small_config(env=EnvSpec(kind="flip", T=4_000_000), reps=100)
+        harness._check_memory(config)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                run_experiment(config, collect_curves=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.key == "env.T"
+        assert "with curves" in err.value.message
+        assert peak < 64 * 1024
 
 
 class TestSweep:
@@ -816,28 +881,52 @@ def tuned(kind, explicit, values, constant):
                        for key, v in ((explicit, values), (constant, POSITIVE))))
 
 
-LOCKSTEP_CONFIGS = st.fixed_dictionaries(
-    {
-        "env": st.one_of(
-            st.fixed_dictionaries({"kind": st.just("flip"), "T": st.integers(2, 300)},
-                                  optional={"segments": st.integers(1, 4)}),
-            st.fixed_dictionaries({"kind": st.just("sinusoidal"), "T": st.integers(2, 300)},
-                                  optional={"budget": st.floats(0.25, 10.0)}),
-        ),
-        "policy": st.one_of(st.just({"kind": "ucb1"}),
-                            tuned("ducb", "gamma", GAMMAS, "gamma_c"),
-                            tuned("swucb", "tau", TAUS, "tau_c")),
-        "drift": st.one_of(
-            st.fixed_dictionaries({"kind": st.just("linear"), "l": st.just(0.0) | POSITIVE}),
-            st.fixed_dictionaries({"kind": st.just("saturating"), "l": POSITIVE,
-                                   "cap": POSITIVE}),
-        ),
-        "restart": st.none() | st.fixed_dictionaries(
-            {}, optional={"sigma": st.integers(1, 300), "lam": POSITIVE}),
-        "reps": st.integers(LOCKSTEP_MIN, LOCKSTEP_MIN + 12),
-        "base_seed": st.integers(0, 2**64 - 1),
-    }
-)
+def engine_configs(reps, restart):
+    """UCB-family config dicts with ``reps`` replications and ``restart`` sections."""
+    return st.fixed_dictionaries(
+        {
+            "env": st.one_of(
+                st.fixed_dictionaries({"kind": st.just("flip"), "T": st.integers(2, 300)},
+                                      optional={"segments": st.integers(1, 4)}),
+                st.fixed_dictionaries({"kind": st.just("sinusoidal"), "T": st.integers(2, 300)},
+                                      optional={"budget": st.floats(0.25, 10.0)}),
+            ),
+            "policy": st.one_of(st.just({"kind": "ucb1"}),
+                                tuned("ducb", "gamma", GAMMAS, "gamma_c"),
+                                tuned("swucb", "tau", TAUS, "tau_c")),
+            "drift": st.one_of(
+                st.fixed_dictionaries({"kind": st.just("linear"),
+                                       "l": st.just(0.0) | POSITIVE}),
+                st.fixed_dictionaries({"kind": st.just("saturating"), "l": POSITIVE,
+                                       "cap": POSITIVE}),
+            ),
+            "restart": restart,
+            "reps": reps,
+            "base_seed": st.integers(0, 2**64 - 1),
+        }
+    )
+
+
+RESTARTS = st.fixed_dictionaries({}, optional={"sigma": st.integers(1, 300), "lam": POSITIVE})
+LOCKSTEP_CONFIGS = engine_configs(st.integers(LOCKSTEP_MIN, LOCKSTEP_MIN + 12),
+                                  st.none() | RESTARTS)
+# Restart batches are lanes, so a handful of reps already fills a lockstep block.
+LANE_CONFIGS = engine_configs(st.integers(1, 8), RESTARTS)
+
+
+def assert_engines_agree(d, curves):
+    """The summary, or the refused key, is the same on both engines."""
+    def outcome():
+        try:
+            return summary_facts(
+                run_experiment(ExperimentConfig.from_dict(d), collect_curves=curves))
+        except ConfigError as exc:
+            return exc.key
+
+    lockstep = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        scalar_only(mp)
+        assert outcome() == lockstep
 
 
 @given(LOCKSTEP_CONFIGS, st.booleans())
@@ -856,14 +945,35 @@ LOCKSTEP_CONFIGS = st.fixed_dictionaries(
           "drift": {"kind": "saturating", "l": 1e308, "cap": 0.5}}, False)
 @settings(max_examples=500, deadline=None)
 def test_lockstep_and_scalar_engines_agree(d, curves):
-    def outcome():
-        try:
-            return summary_facts(
-                run_experiment(ExperimentConfig.from_dict(d), collect_curves=curves))
-        except ConfigError as exc:
-            return exc.key
+    assert_engines_agree(d, curves)
 
-    lockstep = outcome()
-    with pytest.MonkeyPatch.context() as mp:
-        scalar_only(mp)
-        assert outcome() == lockstep
+
+@given(LANE_CONFIGS, st.booleans())
+# every lane in pure round-robin
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": 1,
+          "policy": {"kind": "ucb1"}, "restart": {"sigma": 1}}, True)
+# sigma = K: the same, for a policy with a tuned constant
+@example({"env": {"kind": "flip", "T": 300}, "reps": 3,
+          "policy": {"kind": "ducb", "gamma_c": 15.0}, "restart": {"sigma": 2}}, False)
+# sigma = T - 1 leaves a 1-step last batch (2 lanes per rep)
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": LOCKSTEP_MIN // 2,
+          "policy": {"kind": "swucb", "tau_c": 1.0}, "restart": {"sigma": 299}}, True)
+# T not a multiple of sigma, saturating drift
+@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": 5,
+          "policy": {"kind": "ucb1"}, "restart": {"sigma": 7},
+          "drift": {"kind": "saturating", "l": 0.8, "cap": 0.05}}, True)
+# a DUCB discounted count that underflows to 0 inside a batch
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": 4,
+          "policy": {"kind": "ducb", "gamma": 1e-200}, "restart": {"sigma": 60}}, True)
+# a SWUCB window longer than a batch, and one shorter
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": 5,
+          "policy": {"kind": "swucb", "tau": 250}, "restart": {"sigma": 90}}, False)
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": 5,
+          "policy": {"kind": "swucb", "tau": 3}, "restart": {"sigma": 90}}, True)
+# a drift overflow inside a lane
+@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": 8,
+          "policy": {"kind": "swucb", "tau_c": 1.0}, "restart": {"sigma": 50},
+          "drift": {"kind": "linear", "l": 1e300}}, False)
+@settings(max_examples=300, deadline=None)
+def test_lane_and_scalar_engines_agree(d, curves):
+    assert_engines_agree(d, curves)

@@ -11,21 +11,15 @@ must give every replication the kernels' totals and curves, bit for bit.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
-from driftbandits.incentive import (
-    LOCKSTEP_KINDS,
-    CurveRecorder,
-    DriftModel,
-    Totals,
-    _stream,
-    run_block,
-    run_segment,
-)
+from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
+from driftbandits.lockstep import LOCKSTEP_KINDS, _Streams, lane_bytes, run_block
 from driftbandits.policy import (
     POLICY_KINDS,
     PolicyParams,
@@ -280,16 +274,15 @@ def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
     """The block's totals are each rep's kernel totals; its folded curves are
     the rep-order fold of the kernel curves, and a 1-rep block's are that
     rep's kernel curves, every point."""
-    batches = batch_bounds(env.schedule.T, sigma)
     rngs = [random.Random(seed) for seed in seeds]
-    totals, block_curves = run_block(params, env, model, rngs, batches, curves)
+    totals, block_curves = run_block(params, env, model, rngs, sigma, curves)
     assert [rng.random() for rng in rngs] == [random.Random(s).random() for s in seeds]
     kernel_curves = []
     for i, (ref, recorder) in enumerate(kernel_reps(params, env, sigma, model, seeds, curves)):
         assert tuple(totals[:, i].tolist()) == ref
         if curves:
             kernel_curves.append(np.array([getattr(recorder, name) for name in Totals._fields]))
-            _, one = run_block(params, env, model, [random.Random(seeds[i])], batches, True)
+            _, one = run_block(params, env, model, [random.Random(seeds[i])], sigma, True)
             assert one[0].tolist() == kernel_curves[-1].tolist()
     if curves:
         assert block_curves.tolist() == rep_order_fold(kernel_curves).tolist()
@@ -303,8 +296,28 @@ def test_loaded_stream_continues_random(rep):
     rng = make_rng(20240601, rep)
     for _ in range(rep % 3):  # also from a stream that is not at a word boundary
         rng.random()
-    stream = _stream(rng)
-    assert stream.random_sample(10_000).tolist() == [rng.random() for _ in range(10_000)]
+    stream = _Streams([rng])
+    sizes = (1, 311, 312, 313, 624, 2000, 6439)  # 10,000 doubles across twist boundaries
+    drawn = np.concatenate([stream.doubles(n) for n in sizes], axis=1)
+    assert drawn[0].tolist() == [rng.random() for _ in range(10_000)]
+
+
+@pytest.mark.parametrize("words", [0, 1, 623, 624, 625])
+def test_streams_draw_every_stream_at_once(words):
+    rngs = [make_rng(7, rep) for rep in range(6)]
+    for rng in rngs:  # a common position, odd ones too
+        for _ in range(words):
+            rng.getrandbits(32)
+    streams = _Streams(rngs)
+    drawn = np.concatenate([streams.doubles(n) for n in (5, 700, 295)], axis=1)
+    assert drawn.tolist() == [[rng.random() for _ in range(1000)] for rng in rngs]
+
+
+def test_streams_refuse_different_positions():
+    rngs = [make_rng(7, 0), make_rng(7, 1)]
+    rngs[1].random()
+    with pytest.raises(ValueError, match="different positions"):
+        _Streams(rngs)
 
 
 @pytest.mark.parametrize("curves", [False, True], ids=["summary", "curves"])
@@ -354,6 +367,63 @@ def test_block_matches_a_swucb_window_longer_than_the_run():
     assert_block_matches_kernels(params, env, T, MODELS["linear"], BLOCK_SEEDS, False)
 
 
+# Restart batches as lanes, at 1 to 8 reps: (params, sigma, drift model, curves).
+LANE_CASES = {
+    "every_lane_round_robin": (params_for("ucb1"), 1, "linear", True),
+    "sigma_K": (params_for("ducb"), 2, "saturating", False),
+    "one_step_last_batch": (params_for("swucb"), T - 1, "linear", True),
+    "T_not_a_multiple_of_sigma": (params_for("ucb1"), 7, "saturating", True),
+    "ducb_count_underflows_in_a_batch": (PolicyParams(kind="ducb", gamma=1e-200), 60,
+                                         "linear", True),
+    "swucb_window_longer_than_a_batch": (PolicyParams(kind="swucb", tau=400), 90,
+                                         "saturating", False),
+    "swucb_window_shorter_than_a_batch": (PolicyParams(kind="swucb", tau=3), 90,
+                                          "linear", True),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 3, 8])
+@pytest.mark.parametrize("case", list(LANE_CASES))
+def test_lane_block_matches_the_kernels(case, reps):
+    params, sigma, model_name, curves = LANE_CASES[case]
+    env, _ = ENVS["sinusoidal_restarts"]
+    assert_block_matches_kernels(params, env, sigma, MODELS[model_name], BLOCK_SEEDS[:reps],
+                                 curves)
+
+
+def test_lane_block_meets_a_ducb_count_underflowing_inside_a_batch():
+    params = PolicyParams(kind="ducb", gamma=1e-200)
+    env, _ = ENVS["sinusoidal_restarts"]
+    batch = list(batch_bounds(T, 60))[1]
+    rng = random.Random(17)
+    for _ in range(batch[0] - 1):  # batch 2 reads the stream from its first step
+        rng.random()
+    policy = make_policy(params, env.schedule.K)
+    counts = []
+    for t in range(batch[0], batch[1] + 1):
+        run_segment(policy, env, t, t, MODELS["linear"], rng)
+        counts.append(list(policy.disc_count))
+    assert any(0.0 in c for c in counts)
+
+
+def test_lane_block_memory_is_bounded_by_its_stored_outputs():
+    # the drift-restart UCB1 cell: 8 reps of 27 batches at T = 5000
+    env = make_sinusoidal_env(5000, 24.0, 0.3, 1.0)
+    params = PolicyParams(kind="ucb1")
+    sigma = batch_size(5000, 24.0, 2, 3.0)
+    rngs = [make_rng(20240601, rep) for rep in range(8)]
+    run_block(params, env, MODELS["linear"], rngs, sigma)  # warm caches
+    tracemalloc.start()
+    try:
+        run_block(params, env, MODELS["linear"], rngs, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = 8 * lane_bytes(params, 5000, 2, sigma)
+    assert stored == 8 * 27 * sigma * (2 + 1 + 8)
+    assert stored < peak <= 2**20
+
+
 def test_block_reports_a_failed_step_check():
     # l = 1e300 overflows a drifted reward to inf, which the kernels refuse
     env, _ = ENVS["flip_b3"]
@@ -362,4 +432,4 @@ def test_block_reports_a_failed_step_check():
     with pytest.raises(ValueError, match="reward must be finite"):
         kernel_reps(params, env, T, model, BLOCK_SEEDS[:1], False)
     rngs = [random.Random(seed) for seed in BLOCK_SEEDS]
-    assert run_block(params, env, model, rngs, [(1, T)]) is None
+    assert run_block(params, env, model, rngs, T) is None
