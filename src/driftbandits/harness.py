@@ -39,7 +39,7 @@ import numpy as np
 
 from .env import make_flip_env, make_sinusoidal_env, variation_of
 from .incentive import CurveRecorder, DriftModel, Totals, run_incentivized
-from .lockstep import LOCKSTEP_KINDS, lane_bytes, run_block
+from .lockstep import LANE_BYTES, LOCKSTEP_KINDS, capacity, run_block
 from .policy import PolicyParams, make_policy
 from .restart import RestartParams, batch_size, run_restarting
 from .seeding import make_rng, rep_seed
@@ -57,7 +57,6 @@ __all__ = [
     "tuned_tau",
     "build_env",
     "run_replication",
-    "pool_plan",
     "run_experiment",
     "run_experiments",
     "write_summary_json",
@@ -558,35 +557,18 @@ def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
     return Block(reps.start, values, curves)
 
 
-def _lanes(resolved: Resolved) -> tuple[int, int]:
-    """Lockstep lanes per replication (its restart batches) and the bytes a
-    replication's lanes store; ``(0, 0)`` for a kind without a lockstep engine."""
-    params = resolved.policy_params
-    if params.kind not in LOCKSTEP_KINDS:
-        return 0, 0
-    sigma = resolved.sigma or resolved.T  # one batch without restarts
-    return -(-resolved.T // sigma), lane_bytes(params, resolved.T, resolved.K, sigma)
-
-
-def _run_reps(config: ExperimentConfig, reps: range, collect_curves: bool) -> Block:
-    """The replications ``reps`` as one block.
-
-    A UCB-family block of at least ``LOCKSTEP_MIN`` lanes (reps times restart
-    batches) whose lanes store at most ``LANE_BYTES`` runs in lockstep; if a
-    step check fails there, the block reruns on the scalar kernels, which
-    raise as they always do.
-    """
-    # without restarts a replication is one lane
-    if config.policy.kind in LOCKSTEP_KINDS and (
-            config.restart is not None or len(reps) >= LOCKSTEP_MIN):
+def _run_reps(config: ExperimentConfig, reps: range, lockstep: bool,
+              collect_curves: bool) -> Block:
+    """The replications ``reps`` as one block, in lockstep if ``lockstep``
+    says so (``_plan``); a lockstep block whose step check fails reruns on
+    the scalar kernels, which raise as they always do."""
+    if lockstep:
         resolved = config.resolve()
-        lanes, rep_bytes = _lanes(resolved)
-        if len(reps) * lanes >= LOCKSTEP_MIN and len(reps) * rep_bytes <= LANE_BYTES:
-            rngs = [make_rng(config.base_seed, rep) for rep in reps]
-            out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
-                            rngs, resolved.sigma or resolved.T, collect_curves)
-            if out is not None:
-                return Block(reps.start, *out)
+        rngs = [make_rng(config.base_seed, rep) for rep in reps]
+        out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
+                        rngs, resolved.sigma or resolved.T, collect_curves)
+        if out is not None:
+            return Block(reps.start, *out)
     return _scalar_block(config, reps, collect_curves)
 
 
@@ -624,47 +606,41 @@ class ExperimentSummary:
         }
 
 
-# Block sizes, measured on 2 cores (README "Block sizes").  A block of at
-# least LOCKSTEP_MIN UCB-family lanes (reps times restart batches) whose lanes
-# store at most LANE_BYTES runs in lockstep.  A summary-only lockstep run is
-# split over the pool only when every piece gets at least the split size, and
-# cut into blocks of at most the largest block and of at most LANE_BYTES.  A
-# run with curves is cut by its config alone into blocks of at most
-# CURVE_BLOCK reps (and of at most LANE_BYTES), so its float additions are
-# the same at any worker count and on either engine.
-LOCKSTEP_MIN = 20
+# Block sizes, measured on 2 cores (README "Block sizes").  A run with
+# curves is cut by its config alone into blocks of at most CURVE_BLOCK reps
+# (and of at most the most a lockstep block holds), so its float additions
+# are the same at any worker count and on either engine.  A summary-only run
+# that fits a lockstep block is split over the pool only when every piece
+# gets at least the split size, and cut into blocks of at most the largest
+# block and of at most the most a lockstep block holds.
 LOCKSTEP_SIZES = (64, 256)  # summaries only, in reps: (split, largest)
 CURVE_BLOCK = 128
-LANE_BYTES = 8 * 2**20
 
 
-def pool_plan(
-    reps: int, workers: int, cpus: int, collect_curves: bool, lanes: int = 0, rep_bytes: int = 0
-) -> tuple[int, list]:
-    """Pool size for this run alone, and the rep ranges it runs, one block each.
+def _plan(config: ExperimentConfig, resolved: Resolved, workers: int,
+          collect_curves: bool) -> list:
+    """The rep ranges of ``config`` on up to ``workers`` processes, one block
+    each, and whether each runs in lockstep.
 
-    ``lanes`` and ``rep_bytes`` are a UCB-family run's lockstep lanes and
-    stored bytes per replication (0 for other kinds).  ``workers`` is clamped
-    to ``cpus`` before sizing the blocks, and the pool to the number of
-    blocks, so a large request starts no more processes than can run at once.
-    A pool size of 1 means: run in-process.  Blocks are near-equal.  A run
-    with curves gets blocks of at most ``CURVE_BLOCK`` reps, cut by the
-    config alone; a summary-only lockstep run gets a few large blocks, as
-    many for each pool process.
+    Blocks are near-equal.  A block runs in lockstep exactly when its size
+    lies within ``lockstep.capacity``'s ``[least, most]``.  Without curves a
+    lockstep run gets a few large blocks, as many for each process, and any
+    other run about four blocks per process.
     """
-    workers = min(workers, cpus)
-    # the most reps a lockstep block holds: those whose lanes fit in LANE_BYTES
-    most = min(reps, LANE_BYTES // rep_bytes) if rep_bytes else reps
-    if collect_curves:  # no lockstep block at all (most = 0): CURVE_BLOCK alone
-        blocks = math.ceil(reps / min(CURVE_BLOCK, most or reps))
-    elif lanes * most >= LOCKSTEP_MIN:
+    reps = config.reps
+    least, most = capacity(resolved.policy_params, resolved.T, resolved.K,
+                           resolved.sigma or resolved.T)
+    fit = min(reps, most)  # the most reps one lockstep block of this run holds
+    if collect_curves:  # no lockstep block at all (fit = 0): CURVE_BLOCK alone
+        blocks = math.ceil(reps / min(CURVE_BLOCK, fit or reps))
+    elif least <= fit:
         split, largest = LOCKSTEP_SIZES
         pool = max(1, min(workers, reps // split))
-        blocks = pool * math.ceil(math.ceil(reps / min(largest, most)) / pool)
+        blocks = pool * math.ceil(math.ceil(reps / min(largest, fit)) / pool)
     else:  # about four per worker
         blocks = math.ceil(reps / math.ceil(reps / (workers * 4)))
     cuts = [reps * i // blocks for i in range(blocks + 1)]
-    return min(workers, blocks), [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    return [(range(a, b), least <= b - a <= most) for a, b in zip(cuts, cuts[1:])]
 
 
 def _cpu_count() -> int:
@@ -728,7 +704,7 @@ def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
     """Run every config's replications; an iterator of their summaries, in order.
 
     Every config is validated before anything runs.  Each config's blocks
-    (``pool_plan``) run in-process, or all of them on one process pool of
+    (``_plan``) run in-process, or all of them on one process pool of
     ``min(workers, CPUs, blocks)`` processes, submitted in config order.
     Each summary is yielded as soon as its blocks are folded, in block
     order, so it is identical for any ``workers`` value.  Consume the
@@ -737,10 +713,10 @@ def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
     """
     configs = list(configs)
     resolved = _validate(configs, workers, collect_curves)
-    cpus = _cpu_count()
-    plans = [pool_plan(config.reps, workers, cpus, collect_curves, *_lanes(res))[1]
+    workers = min(workers, _cpu_count())
+    plans = [_plan(config, res, workers, collect_curves)
              for config, res in zip(configs, resolved)]
-    pool = min(workers, cpus, sum(map(len, plans)))
+    pool = min(workers, sum(map(len, plans)))
     return _run_plans(configs, resolved, plans, pool, collect_curves)
 
 
@@ -751,13 +727,13 @@ def _run_plans(configs, resolved, plans, pool, collect_curves):
             ex = ProcessPoolExecutor(max_workers=pool)
             # an early exit cancels the blocks not yet started
             stack.callback(ex.shutdown, wait=True, cancel_futures=True)
-            futures = deque(ex.submit(_run_reps, config, r, collect_curves)
-                            for config, ranges in zip(configs, plans) for r in ranges)
-        for config, res, ranges in zip(configs, resolved, plans):
+            futures = deque(ex.submit(_run_reps, config, r, lockstep, collect_curves)
+                            for config, plan in zip(configs, plans) for r, lockstep in plan)
+        for config, res, plan in zip(configs, resolved, plans):
             if pool > 1:  # in submission order, each dropped once read
-                blocks = (futures.popleft().result() for _ in ranges)
+                blocks = (futures.popleft().result() for _ in plan)
             else:
-                blocks = (_run_reps(config, r, collect_curves) for r in ranges)
+                blocks = (_run_reps(config, r, lockstep, collect_curves) for r, lockstep in plan)
             yield _fold(config, res, blocks, collect_curves)
 
 

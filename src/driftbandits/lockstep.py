@@ -37,9 +37,13 @@ import numpy as np
 
 from .incentive import DriftModel
 
-__all__ = ["LOCKSTEP_KINDS", "lane_bytes", "run_block"]
+__all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 
 LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb")
+# A block runs in lockstep from LOCKSTEP_MIN lanes (README "Block sizes": the
+# crossover, measured on 2 cores) while its lanes store at most LANE_BYTES.
+LOCKSTEP_MIN = 20
+LANE_BYTES = 8 * 2**20
 # Steps at a time, over all reps: without restarts 2^14 uniforms are drawn,
 # stepped and summed at a time; with restarts the draws and the second pass
 # go T / 16 steps at a time, and at most 2^14 lane-steps.
@@ -108,19 +112,25 @@ def _arm_dtype(K: int) -> np.dtype:
     return np.min_scalar_type(K - 1)
 
 
-def lane_bytes(params, T: int, K: int, sigma: int) -> int:
-    """Bytes ``run_block`` stores per replication when restarting every ``sigma`` steps.
+def capacity(params, T: int, K: int, sigma: int) -> tuple:
+    """The fewest and the most reps of a lockstep block restarting every ``sigma`` steps.
 
-    With restarts, every lane-step keeps its arm wins (K bools), its arm and
-    its compensation until the second pass; a SWUCB window shorter than a
-    batch keeps a ring of (index, reward) pairs per lane.  A run without
-    restarts stores nothing per step beyond a fixed-size chunk.
+    A block runs in lockstep once its lanes (replications times restart
+    batches) reach ``LOCKSTEP_MIN``, and while its lanes store at most
+    ``LANE_BYTES``: with restarts, every lane-step keeps its arm wins (K
+    bools), its arm and its compensation until the second pass, and a SWUCB
+    window shorter than a batch keeps a ring of (index, reward) pairs per
+    lane.  A run without restarts stores nothing per step beyond a
+    fixed-size chunk, so its most is ``inf``.  A kind without a lockstep
+    engine gets ``(inf, 0)``.
     """
+    if params.kind not in LOCKSTEP_KINDS:
+        return inf, 0
     batches = -(-T // sigma)
     stored = 0 if batches == 1 else batches * sigma * (K + _arm_dtype(K).itemsize + 8)
     if params.kind == "swucb" and params.tau < sigma:
         stored += batches * params.tau * 16
-    return stored
+    return -(-LOCKSTEP_MIN // batches), LANE_BYTES // stored if stored else inf
 
 
 def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=False):

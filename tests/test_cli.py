@@ -12,9 +12,9 @@ import pytest
 
 import driftbandits
 import driftbandits.cli as cli
-import driftbandits.harness as harness
 from driftbandits.cli import _write_curve_csv, main
-from driftbandits.harness import LOCKSTEP_MIN, LOCKSTEP_SIZES
+from driftbandits.harness import LOCKSTEP_SIZES
+from driftbandits.lockstep import LOCKSTEP_MIN
 
 
 @pytest.fixture
@@ -209,59 +209,48 @@ def test_flip_too_short_for_its_segments_exits_2(tmp_path, capsys):
     assert "config error: env: T=3 is too short for 2 segments" in err
 
 
+# name -> (config, refusal, the pools it starts on two CPUs at --workers 2)
 DRIFT_OVERFLOW = {
     # a drifted reward l * chi overflows to inf at run time
     "linear": ({"env": {"kind": "flip", "T": 5000, "segments": 4},
                 "policy": {"kind": "eps_greedy"},
                 "drift": {"kind": "linear", "l": 1e300}, "reps": 3},
-               "drift.l: drift overflows at run time"),
+               "drift.l: drift overflows at run time", [2]),
     # the drift bound l * cap is itself inf
     "saturating": ({"env": {"kind": "flip", "T": 500, "segments": 4},
                     "policy": {"kind": "eps_greedy"},
                     "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10},
                     "reps": 3},
-                   "drift: l * cap must be finite"),
-    # the same two on UCB-family policies, at rep counts that run lockstep
-    # blocks, on the pool when workers=2
+                   "drift: l * cap must be finite", []),
+    # the same two on UCB-family policies, at rep counts that fill lockstep
+    # blocks: the linear row runs two blocks of 64 reps on a pool of 2 when
+    # workers=2; the saturating row is refused as its config is parsed, so
+    # it reaches no block and starts no pool
     "linear_lockstep": ({"env": {"kind": "flip", "T": 5000, "segments": 4},
                          "policy": {"kind": "swucb", "tau_c": 1.0},
                          "drift": {"kind": "linear", "l": 1e300},
                          "reps": 2 * LOCKSTEP_SIZES[0]},
-                        "drift.l: drift overflows at run time"),
+                        "drift.l: drift overflows at run time", [2]),
     "saturating_lockstep": ({"env": {"kind": "flip", "T": 500, "segments": 4},
                              "policy": {"kind": "ucb1"},
                              "drift": {"kind": "saturating", "l": 1e308, "cap": 1e10},
                              "reps": LOCKSTEP_MIN},
-                            "drift: l * cap must be finite"),
+                            "drift: l * cap must be finite", []),
 }
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("drift", list(DRIFT_OVERFLOW))
-def test_drift_overflow_exits_2_and_names_key(tmp_path, capsys, drift, workers):
-    config, message = DRIFT_OVERFLOW[drift]
+def test_drift_overflow_exits_2_and_names_key(tmp_path, capsys, pools, drift, workers):
+    config, message, sizes = DRIFT_OVERFLOW[drift]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--workers", workers])
     assert code == 2
     assert message in capsys.readouterr().err
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The sizes of the pools a command builds, on two CPUs.  The pools are
-    kept alive, so only their shutdown stops their workers."""
-    built = []
-
-    class KeptPool(harness.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            built.append((max_workers, self))
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", KeptPool)
-    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    return built
+    assert [size for size, _ in pools] == (sizes if workers == "2" else [])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers, sizes", [("1", []), ("2", [2])])

@@ -14,10 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import driftbandits.harness as harness
+import driftbandits.lockstep as lockstep
 from driftbandits.harness import (
     _SCHEMA,
     CURVE_BLOCK,
-    LOCKSTEP_MIN,
     LOCKSTEP_SIZES,
     ConfigError,
     EnvSpec,
@@ -26,7 +26,6 @@ from driftbandits.harness import (
     build_env,
     fit_loglog,
     flip_config,
-    pool_plan,
     preset_policy,
     run_experiment,
     run_experiments,
@@ -39,6 +38,7 @@ from driftbandits.harness import (
     write_summary_json,
 )
 from driftbandits.incentive import DriftModel, run_segment
+from driftbandits.lockstep import LANE_BYTES, LOCKSTEP_KINDS, LOCKSTEP_MIN, capacity
 from driftbandits.policy import PolicyParams, Ucb1Policy
 from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng, rep_seed
@@ -448,7 +448,12 @@ def summary_facts(summary):
 
 def scalar_only(monkeypatch):
     """Run every block on the scalar kernels."""
-    monkeypatch.setattr(harness, "LOCKSTEP_MIN", 10**9)
+    monkeypatch.setattr(lockstep, "LOCKSTEP_MIN", 10**9)
+
+
+def plan(config, workers=1, curves=False):
+    """``config``'s blocks on ``workers`` processes: (range, lockstep) pairs."""
+    return harness._plan(config, config.resolve(), workers, curves)
 
 
 class TestLockstep:
@@ -472,10 +477,9 @@ class TestLockstep:
         config = small_config(
             env=EnvSpec(kind="sinusoidal", T=400, budget=4.0), policy=preset_policy("ucb1"),
             restart=RestartParams(sigma=90), reps=4 * LOCKSTEP_MIN + 7)
-        pool, ranges = pool_plan(config.reps, workers, 2, curves,
-                                 *harness._lanes(config.resolve()))
-        assert pool == workers
-        sizes = sorted({len(r) for r in ranges})
+        blocks = plan(config, workers, curves)
+        assert len(blocks) >= workers and all(lock for _, lock in blocks)
+        sizes = sorted({len(r) for r, _ in blocks})
         assert len(sizes) == 2 and sizes[0] >= LOCKSTEP_MIN
         lockstep = summary_facts(run_experiment(config, workers, collect_curves=curves))
         scalar_only(monkeypatch)
@@ -496,7 +500,7 @@ class TestLockstep:
         # untraced, the reps are one lockstep block; traced, the trace source
         # runs them on the kernels one at a time
         config = small_config(policy=preset_policy("swucb"), reps=LOCKSTEP_MIN)
-        assert pool_plan(config.reps, 1, 1, True, lanes=1) == (1, [range(config.reps)])
+        assert plan(config, curves=True) == [(range(config.reps), True)]
         block = run_experiment(config, collect_curves=True)
         traced = run_experiment(dataclasses.replace(config, trace=True), collect_curves=True,
                                 trace_path=tmp_path / "trace.csv")
@@ -524,52 +528,72 @@ class TestLockstep:
 
 
 class TestPoolPlan:
-    def test_large_request_clamped_to_cpus(self):
-        pool, ranges = pool_plan(100, 10**9, 2, False)
-        assert pool == 2
-        assert ranges == pool_plan(100, 2, 2, False)[1]
-        assert [rep for chunk in ranges for rep in chunk] == list(range(100))
+    def test_large_request_clamped_to_cpus(self, pools):
+        config = small_config(policy=PolicyParams(kind="eps_greedy"), reps=100)
+        assert summary_facts(run_experiment(config, workers=10**9)) == summary_facts(
+            run_experiment(config, workers=2))
+        assert [size for size, _ in pools] == [2, 2]
+        blocks = plan(config, 2)  # about four blocks per worker
+        assert len(blocks) == 8 and not any(lock for _, lock in blocks)
+        assert [rep for r, _ in blocks for rep in r] == list(range(100))
 
-    def test_pool_never_exceeds_chunks(self):
-        assert pool_plan(3, 8, 16, False)[0] == 3
-        assert pool_plan(1, 8, 16, False)[0] == 1
+    def test_pool_never_exceeds_chunks(self, pools, monkeypatch):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 16)
+        for reps in (3, 1):
+            run_experiment(small_config(policy=PolicyParams(kind="eps_greedy"), reps=reps),
+                           workers=8)
+        # one block per rep; a single block runs in-process
+        assert [size for size, _ in pools] == [3]
 
-    def test_one_cpu_runs_in_process(self):
-        assert pool_plan(50, 4, 1, True)[0] == 1
+    def test_one_cpu_runs_in_process(self, pools, monkeypatch):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        run_experiment(small_config(reps=50), workers=4, collect_curves=True)
+        assert pools == []
 
     def test_lockstep_run_is_one_block_until_it_pays_to_split(self):
         # reproduce fig2's cells: 64 reps with curves on 2 workers
-        assert pool_plan(64, 2, 2, True, lanes=1) == (1, [range(64)])
-        pool, ranges = pool_plan(2000, 2, 2, False, lanes=1)
-        assert pool == 2
-        assert [len(r) for r in ranges] == [250] * 8
-        assert [rep for r in ranges for rep in r] == list(range(2000))
-        # drift-restart's UCB1 cell: 8 reps of 27 restart batches on 1 worker
-        lanes, rep_bytes = harness._lanes(
-            sinusoidal_config(24.0, PolicyParams(kind="ucb1"), reps=8, lam=3.0).resolve())
-        assert lanes == 27
-        assert pool_plan(8, 1, 2, False, lanes, rep_bytes) == (1, [range(8)])
+        fig2 = flip_config(1, preset_policy("ucb1"), reps=64)
+        assert plan(fig2, 2, True) == [(range(64), True)]
+        blocks = plan(dataclasses.replace(fig2, reps=2000), 2)
+        assert [(len(r), lock) for r, lock in blocks] == [(250, True)] * 8
+        assert [rep for r, _ in blocks for rep in r] == list(range(2000))
+        # drift-restart's UCB1 cell: 8 reps of 27 restart batches on 1 worker,
+        # so one rep already brings 20 lanes
+        config = sinusoidal_config(24.0, PolicyParams(kind="ucb1"), reps=8, lam=3.0)
+        resolved = config.resolve()
+        assert -(-resolved.T // resolved.sigma) == 27
+        assert capacity(resolved.policy_params, resolved.T, resolved.K, resolved.sigma)[0] == 1
+        assert plan(config) == [(range(8), True)]
 
     def test_restart_blocks_are_cut_by_their_stored_bytes(self):
         # table 3's UCB1 cells at 2000 reps: no block stores more than LANE_BYTES
         for budget in (3.0, 24.0):
             config = sinusoidal_config(budget, PolicyParams(kind="ucb1"), lam=3.0)
-            lanes, rep_bytes = harness._lanes(config.resolve())
+            resolved = config.resolve()
+            most = capacity(resolved.policy_params, resolved.T, resolved.K, resolved.sigma)[1]
+            assert most == {3.0: 144, 24.0: 150}[budget]  # 7 x 752, 27 x 188 lane-steps
             for curves in (False, True):
-                pool, ranges = pool_plan(2000, 2, 2, curves, lanes, rep_bytes)
-                assert pool == 2
-                assert max(map(len, ranges)) * rep_bytes <= harness.LANE_BYTES
-                assert max(map(len, ranges)) <= (CURVE_BLOCK if curves else LOCKSTEP_SIZES[1])
-                assert [rep for r in ranges for rep in r] == list(range(2000))
+                blocks = plan(config, 2, curves)
+                assert len(blocks) >= 2 and all(lock for _, lock in blocks)
+                assert max(len(r) for r, _ in blocks) <= most
+                assert max(len(r) for r, _ in blocks) <= (
+                    CURVE_BLOCK if curves else LOCKSTEP_SIZES[1])
+                assert [rep for r, _ in blocks for rep in r] == list(range(2000))
 
-    def test_lockstep_below_the_crossover_keeps_the_scalar_plan(self):
-        reps = LOCKSTEP_MIN - 1
-        assert pool_plan(reps, 2, 2, False, lanes=1) == pool_plan(reps, 2, 2, False)
+    def test_lockstep_below_the_crossover_keeps_the_scalar_plan(self, monkeypatch):
+        def scalar_plan(config, workers):
+            return plan(dataclasses.replace(config, policy=PolicyParams(kind="eps_greedy")),
+                        workers)
+
+        below = small_config(policy=preset_policy("ucb1"), reps=LOCKSTEP_MIN - 1)
+        assert plan(below, 2) == scalar_plan(below, 2)
         # abrupt-ucb's cells: 12 reps without restarts are 12 lanes
-        assert pool_plan(12, 1, 2, False, lanes=1) == pool_plan(12, 1, 2, False)
+        abrupt = flip_config(3, preset_policy("ucb1"), reps=12)
+        assert plan(abrupt) == scalar_plan(abrupt, 1)
         # a run whose one replication stores more than LANE_BYTES has no lockstep plan
-        assert (pool_plan(40, 2, 2, False, 27, harness.LANE_BYTES + 1)
-                == pool_plan(40, 2, 2, False))
+        restart = sinusoidal_config(24.0, PolicyParams(kind="ucb1"), reps=40, lam=3.0)
+        monkeypatch.setattr(lockstep, "LANE_BYTES", 1)
+        assert plan(restart, 2) == scalar_plan(restart, 2)
 
     def test_workers_clamped_to_the_cpu_affinity(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -580,7 +604,7 @@ class TestPoolPlan:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         config = small_config(policy=PolicyParams(kind="eps_greedy"), reps=8)
-        assert pool_plan(8, 2, 2, False)[0] == 2  # two CPUs would start a pool
+        assert len(plan(config, 2)) >= 2  # two CPUs would start a pool
         run_experiment(config, workers=2)
         monkeypatch.delattr(harness.os, "sched_getaffinity")
         with pytest.raises(AssertionError, match="started a pool"):
@@ -618,6 +642,52 @@ class TestPoolPlan:
         assert err.value.key == "workers"
 
 
+def stored_bytes(resolved):
+    """The bytes a lockstep replication stores at K = 2, as README's "Lockstep
+    blocks" counts them: with restarts 11 B per lane-step, and 16 B per slot
+    of a SWUCB window shorter than a batch."""
+    sigma = resolved.sigma or resolved.T
+    batches = -(-resolved.T // sigma)
+    ring = 16 * resolved.tau if resolved.tau is not None and resolved.tau < sigma else 0
+    return batches * (11 * sigma * (batches > 1) + ring)
+
+
+PLAN_CONFIGS = st.builds(
+    lambda kind, env, restart, reps: ExperimentConfig(
+        env=env, policy=preset_policy(kind), restart=restart, reps=reps),
+    st.sampled_from(["ucb1", "ducb", "swucb", "eps_greedy", "thompson"]),
+    st.sampled_from([EnvSpec(kind="flip", T=5000), EnvSpec(kind="flip", T=300, segments=4),
+                     EnvSpec(kind="sinusoidal", T=5000, budget=3.0),
+                     EnvSpec(kind="sinusoidal", T=5000, budget=24.0)]),
+    st.sampled_from([None, RestartParams(lam=3.0), RestartParams(sigma=7),
+                     RestartParams(sigma=250)]),
+    st.integers(1, 40) | st.integers(1, 7000),
+)
+
+
+@given(PLAN_CONFIGS, st.integers(1, 8), st.booleans())
+# 7 batches a rep, so that 3 reps reach 20 lanes and 2 do not
+@example(sinusoidal_config(3.0, PolicyParams(kind="ucb1"), reps=2, lam=3.0), 1, False)
+@settings(max_examples=300, deadline=None)
+def test_plan_partitions_the_reps_and_flags_exactly_the_lockstep_blocks(config, workers, curves):
+    resolved = config.resolve()
+    blocks = harness._plan(config, resolved, workers, curves)
+    starts, stops = ([getattr(r, end) for r, _ in blocks] for end in ("start", "stop"))
+    assert starts == [0, *stops[:-1]] and stops[-1] == config.reps
+    assert all(len(r) > 0 and r.step == 1 for r, _ in blocks)
+    if curves:  # cut by the config alone
+        assert blocks == harness._plan(config, resolved, 1, True)
+    least, most = capacity(resolved.policy_params, resolved.T, resolved.K,
+                           resolved.sigma or resolved.T)
+    assert [lock for _, lock in blocks] == [least <= len(r) <= most for r, _ in blocks]
+    lanes = -(-resolved.T // (resolved.sigma or resolved.T))
+    for r, lock in blocks:
+        if lock:
+            assert config.policy.kind in LOCKSTEP_KINDS
+            assert len(r) * lanes >= LOCKSTEP_MIN
+            assert len(r) * stored_bytes(resolved) <= LANE_BYTES
+
+
 class TestSharedPool:
     """Blocks fold their curves where they are made, and every config shares one pool."""
 
@@ -625,7 +695,7 @@ class TestSharedPool:
     def test_block_fold_is_the_rep_by_rep_fold(self, kind):
         config = small_config(policy=preset_policy(kind), reps=LOCKSTEP_MIN + 3)
         reps = range(2, config.reps)  # a lockstep block for the UCB family
-        block = harness._run_reps(config, reps, True)
+        block = harness._run_reps(config, reps, kind in LOCKSTEP_KINDS, True)
         kernel = [np.array([run_replication(config, rep, collect_curves=True).curves[name]
                             for name in harness.METRIC_NAMES]) for rep in reps]
         assert block.start == 2
@@ -645,8 +715,8 @@ class TestSharedPool:
         config = small_config(env=EnvSpec(kind="flip", T=200), policy=preset_policy(kind),
                               reps=300)
         for workers in (1, 2, 3):
-            assert pool_plan(300, workers, 2, True, lanes=1)[1] == [
-                range(0, 100), range(100, 200), range(200, 300)]
+            assert plan(config, workers, True) == [
+                (range(0, 100), True), (range(100, 200), True), (range(200, 300), True)]
         facts = [summary_facts(run_experiment(config, workers, collect_curves=True))
                  for workers in (1, 2, 3)]
         scalar_only(monkeypatch)
@@ -705,7 +775,7 @@ class TestMemoryLimit:
 
     def test_limit_is_inclusive(self, monkeypatch):
         config = small_config()  # T = 300, 6 reps of DUCB, which has a lockstep engine
-        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6 + harness.LANE_BYTES
+        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6 + LANE_BYTES
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need)
         config.resolve()
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need - 1)

@@ -19,7 +19,7 @@ import pytest
 from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
-from driftbandits.lockstep import LOCKSTEP_KINDS, _Streams, lane_bytes, run_block
+from driftbandits.lockstep import LANE_BYTES, LOCKSTEP_KINDS, _Streams, capacity, run_block
 from driftbandits.policy import (
     POLICY_KINDS,
     PolicyParams,
@@ -419,8 +419,8 @@ def test_lane_block_memory_is_bounded_by_its_stored_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stored = 8 * lane_bytes(params, 5000, 2, sigma)
-    assert stored == 8 * 27 * sigma * (2 + 1 + 8)
+    stored = 8 * 27 * sigma * (2 + 1 + 8)  # K wins, the arm and its compensation
+    assert capacity(params, 5000, 2, sigma) == (1, LANE_BYTES // (stored // 8))
     assert stored < peak <= 2**20
 
 
