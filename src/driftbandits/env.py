@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+def _share_repeats(values) -> tuple:
+    """``values`` as a tuple whose runs of equal values are each one object."""
+    out, last = [], None
+    for v in values:
+        if v != last:
+            last = v
+        out.append(last)
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class MeanSchedule:
     """Mean rewards ``mu_t(a)`` for ``t in [1, T]``, ``a in [1, K]``.
@@ -58,14 +68,15 @@ class MeanSchedule:
         return self.means.shape[1]
 
     # Plain-Python views, cached: scalar indexing into ndarrays is too slow
-    # for the per-step simulation loop.
+    # for the per-step simulation loop.  A value equal to the one before it
+    # is that same object, so a flip schedule holds one row per segment.
     @cached_property
     def rows(self) -> tuple:
-        return tuple(tuple(row) for row in self.means.tolist())
+        return _share_repeats(map(tuple, self.means.tolist()))
 
     @cached_property
     def best_mean(self) -> tuple:
-        return tuple(self.means.max(axis=1).tolist())
+        return _share_repeats(self.means.max(axis=1).tolist())
 
     @cached_property
     def variation(self) -> float:

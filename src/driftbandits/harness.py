@@ -274,14 +274,15 @@ class Resolved:
 
 
 # What a run holds at once: the schedule and its per-step views
-# (``build_env``, 209 B per step at K = 2), the (4, reps) totals (32 B per
-# rep), for a UCB-family kind one lockstep block's stored step outputs (at
-# most LANE_BYTES), and with curves 320 B per step (a kernel replication's
-# curve lists and arrays, a block's and the fold's (2, 4, T) sums, and the
-# mean and stderr curves; measured with tracemalloc at T = 100,000).  A config
-# that needs more than MEMORY_LIMIT bytes is refused, naming the larger of its
-# per-step and per-rep terms; the limit is fixed, so the refusal is the same
-# on every host.
+# (``build_env``, 209 B per step at K = 2; a kernel segment shorter than the
+# horizon copies its steps' views, 16 B per step, and stays below that peak),
+# the (4, reps) totals (32 B per rep), for a UCB-family kind one lockstep
+# block's stored step outputs (at most LANE_BYTES), and with curves 320 B
+# per step (a kernel replication's curve lists and arrays, a block's and the
+# fold's (2, 4, T) sums, and the mean and stderr curves; measured with
+# tracemalloc at T = 100,000).  A config that needs more than MEMORY_LIMIT
+# bytes is refused, naming the larger of its per-step and per-rep terms; the
+# limit is fixed, so the refusal is the same on every host.
 STEP_BYTES, REP_BYTES, CURVE_BYTES = 209, 32, 320
 MEMORY_LIMIT = 2**30
 

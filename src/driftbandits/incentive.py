@@ -11,13 +11,14 @@ true reward from the drift.
 
 ``run_segment`` is the single entry point to this loop; it serves the
 one-step API, full runs, and the restarting scheduler.  It steps the
-built-in policies through fused per-policy kernels, which inline the policy
-and drift methods and the ``random.Random`` draws they make (``randrange``,
-``betavariate``, ``gammavariate``), take the run's :class:`Totals` and
-return them updated, and append to a :class:`CurveRecorder` only when one is
-supplied.
+built-in policies through three fused kernels, one for the UCB family (UCB1,
+DUCB and SWUCB), one for eps-greedy and one for Thompson.  They inline the
+policy and drift methods and the ``random.Random`` draws they make
+(``randrange``, ``betavariate``, ``gammavariate``), take the run's
+:class:`Totals` and return them updated, and append to a
+:class:`CurveRecorder` only when one is supplied.
 ``lockstep.run_block`` runs many replications of a UCB-family config at
-once, bit-identical to these kernels rep by rep.
+once, bit-identical to the UCB-family kernel rep by rep.
 """
 
 from __future__ import annotations
@@ -163,22 +164,25 @@ def run_segment(
     # Linear drift is the saturating form with an infinite cap: for every
     # chi that passes the check, ``chi if chi < inf else inf`` is ``chi``.
     cap = model.cap if model.kind == "saturating" else inf
-    return kernel(
-        policy, sched.rows, sched.best_mean, t_start, t_end, model.l, cap, rng,
-        totals, curves, batch,
-    )
+    rows, best = sched.rows, sched.best_mean
+    if t_start > 1 or t_end < sched.T:  # a whole-horizon run zips the views uncopied
+        rows, best = rows[t_start - 1:t_end], best[t_start - 1:t_end]
+    return kernel(policy, zip(rows, best), t_start, model.l, cap, rng, totals, curves, batch)
 
 
 # ---------------------------------------------------------------------------
 # Fused step kernels.
 #
-# Each kernel is the step loop for one policy class with the policy's
+# Each kernel is the step loop of its policy classes with the policy's
 # ``recommend``/``greedy_arm``/``estimate``/``observe`` and
 # ``DriftModel.apply`` inlined: the statistics live in local variables (the
 # per-arm lists are the policy's own, updated in place; scalars are written
 # back on exit, also when a check raises), and one pass over the arms finds
 # both the index argmax (ties to the lowest arm, starting from -inf) and the
 # greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
+# The UCB-family kernel branches on the kind only where ``lockstep.run_block``
+# does: the log term of the index, DUCB's factor 2 on the radius, and the
+# update (DUCB's discounting; SWUCB's window, whose counts are ints).
 # The stdlib draws are inlined too, as CPython's ``random.py`` writes them:
 # ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
 # ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
@@ -190,9 +194,10 @@ def run_segment(
 # loop over the public methods; tests/test_kernels.py checks bit-identity
 # against that loop, whose policies call the stdlib methods.
 #
-# Signature: (policy, rows, best, t_start, t_end, l, cap, rng, acc, curves,
-# batch), where ``acc`` is the run's :class:`Totals` so far; returns the
-# updated :class:`Totals`.
+# Signature: (policy, steps, t_start, l, cap, rng, acc, curves, batch), where
+# ``steps`` yields each step's ``(means row, best mean)`` from step
+# ``t_start`` on and ``acc`` is the run's :class:`Totals` so far; returns the
+# updated :class:`Totals`.  The step number is counted only for the records.
 
 
 def _bad_compensation(chi: float) -> ValueError:
@@ -203,40 +208,61 @@ def _bad_reward(r: float) -> ValueError:
     return ValueError(f"reward must be finite and nonnegative, got {r}")
 
 
-def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
+def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     K = pol.K
-    count, total = pol.count, pol.total
+    ducb, swucb = type(pol) is DucbPolicy, type(pol) is SwucbPolicy
+    ucb1 = not (ducb or swucb)
     n_obs = pol.t
+    if ducb:
+        gamma, xi = pol.gamma, pol.xi
+        cnt, tot, raw = pol.disc_count, pol.disc_sum, pol.raw_count
+        n_disc = pol.disc_total
+    elif swucb:
+        tau, xi = pol.tau, pol.xi
+        window = pol.window
+        push, pop = window.append, window.popleft
+        cnt, tot, raw = pol.win_count, pol.win_sum, pol.raw_count
+    else:
+        cnt, tot = pol.count, pol.total
+    # SWUCB's window counts are ints, the other counts floats
+    zero, one = (0, 1) if swucb else (0.0, 1.0)
     uniform = rng.random
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
+    t = t_start - 1
     if curves is not None:
         app_p = curves.pseudo_regret.append
         app_r = curves.realized_regret.append
         app_c = curves.compensation.append
         app_w = curves.true_reward.append
-        steps = curves.steps
+        records = curves.steps
     try:
-        for t in range(t_start, t_end + 1):
+        # the arms a (recommended) and g (greedy) are 0-based until a record
+        for row, mu_star in steps:
             if n_obs < K:
-                a = g = n_obs + 1
+                a = g = n_obs
                 chi = delta = 0.0
             else:
-                two_log_t = 2.0 * log(n_obs)
-                n = count[0]
-                g, ge = 1, (total[0] / n if n > 0.0 else 0.0)
-                a, av, ae = 1, -inf, ge
+                if ucb1:
+                    c = 2.0 * log(n_obs)
+                elif swucb:
+                    c = xi * log(n_obs if n_obs < tau else tau)
+                else:
+                    c = xi * log(n_disc)
+                n = cnt[0]
+                g, ge = 0, (tot[0] / n if n > zero else 0.0)
+                a, av, ae = 0, -inf, ge
                 for i in arms:
-                    n = count[i]
-                    if n > 0.0:
-                        e = total[i] / n
-                        v = e + sqrt(two_log_t / n)
+                    n = cnt[i]
+                    if n > zero:
+                        e = tot[i] / n
+                        v = e + 2.0 * sqrt(c / n) if ducb else e + sqrt(c / n)
                     else:
                         e, v = 0.0, inf
                     if v > av:
-                        a, av, ae = i + 1, v, e
+                        a, av, ae = i, v, e
                     if e > ge:
-                        g, ge = i + 1, e
+                        g, ge = i, e
                 if a != g:
                     chi = ge - ae
                     if chi != chi or chi < 0.0:
@@ -244,16 +270,28 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
                     delta = l * (chi if chi < cap else cap)
                 else:
                     chi = delta = 0.0
-            mu_a = rows[t - 1][a - 1]
+            mu_a = row[a]
             x = 1.0 if uniform() < mu_a else 0.0
             r = x + delta
             if not 0.0 <= r < inf:
                 raise _bad_reward(r)
-            count[a - 1] += 1.0
-            total[a - 1] += r
+            if not ucb1:
+                if swucb:
+                    if len(window) == tau:
+                        old_i, old_r = pop()
+                        cnt[old_i] -= 1
+                        tot[old_i] -= old_r
+                    push((a, r))
+                else:
+                    for i in arms:
+                        cnt[i] *= gamma
+                        tot[i] *= gamma
+                    n_disc = gamma * n_disc + 1.0
+                raw[a] += 1
+            cnt[a] += one
+            tot[a] += r
             n_obs += 1
 
-            mu_star = best[t - 1]
             pseudo += mu_star - mu_a
             realized += mu_star - x
             comp_sum += chi
@@ -263,175 +301,19 @@ def _ucb1_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, bat
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
-                if steps is not None:
-                    steps.append(StepOutcome(
-                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                if records is not None:
+                    t += 1
+                    records.append(StepOutcome(
+                        t, batch, a + 1, g + 1, chi, delta, x, r, pseudo, realized, comp_sum
                     ))
     finally:
         pol.t = n_obs
+        if ducb:
+            pol.disc_total = n_disc
     return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
-def _ducb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
-    K = pol.K
-    gamma, xi = pol.gamma, pol.xi
-    dc, ds, raw = pol.disc_count, pol.disc_sum, pol.raw_count
-    n_disc = pol.disc_total
-    n_obs = pol.t
-    uniform = rng.random
-    arms = range(K)
-    pseudo, realized, comp_sum, reward_sum = acc
-    if curves is not None:
-        app_p = curves.pseudo_regret.append
-        app_r = curves.realized_regret.append
-        app_c = curves.compensation.append
-        app_w = curves.true_reward.append
-        steps = curves.steps
-    try:
-        for t in range(t_start, t_end + 1):
-            if n_obs < K:
-                a = g = n_obs + 1
-                chi = delta = 0.0
-            else:
-                xi_log_n = xi * log(n_disc)
-                n = dc[0]
-                g, ge = 1, (ds[0] / n if n > 0.0 else 0.0)
-                a, av, ae = 1, -inf, ge
-                for i in arms:
-                    n = dc[i]
-                    if n > 0.0:
-                        e = ds[i] / n
-                        v = e + 2.0 * sqrt(xi_log_n / n)
-                    else:
-                        e, v = 0.0, inf
-                    if v > av:
-                        a, av, ae = i + 1, v, e
-                    if e > ge:
-                        g, ge = i + 1, e
-                if a != g:
-                    chi = ge - ae
-                    if chi != chi or chi < 0.0:
-                        raise _bad_compensation(chi)
-                    delta = l * (chi if chi < cap else cap)
-                else:
-                    chi = delta = 0.0
-            mu_a = rows[t - 1][a - 1]
-            x = 1.0 if uniform() < mu_a else 0.0
-            r = x + delta
-            if not 0.0 <= r < inf:
-                raise _bad_reward(r)
-            for i in arms:
-                dc[i] *= gamma
-                ds[i] *= gamma
-            i = a - 1
-            dc[i] += 1.0
-            ds[i] += r
-            raw[i] += 1
-            n_disc = gamma * n_disc + 1.0
-            n_obs += 1
-
-            mu_star = best[t - 1]
-            pseudo += mu_star - mu_a
-            realized += mu_star - x
-            comp_sum += chi
-            reward_sum += x
-            if curves is not None:
-                app_p(pseudo)
-                app_r(realized)
-                app_c(comp_sum)
-                app_w(reward_sum)
-                if steps is not None:
-                    steps.append(StepOutcome(
-                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
-                    ))
-    finally:
-        pol.t = n_obs
-        pol.disc_total = n_disc
-    return Totals(pseudo, realized, comp_sum, reward_sum)
-
-
-def _swucb_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
-    K = pol.K
-    tau, xi = pol.tau, pol.xi
-    window = pol.window
-    push, pop = window.append, window.popleft
-    wc, ws, raw = pol.win_count, pol.win_sum, pol.raw_count
-    n_obs = pol.t
-    uniform = rng.random
-    arms = range(K)
-    pseudo, realized, comp_sum, reward_sum = acc
-    if curves is not None:
-        app_p = curves.pseudo_regret.append
-        app_r = curves.realized_regret.append
-        app_c = curves.compensation.append
-        app_w = curves.true_reward.append
-        steps = curves.steps
-    try:
-        for t in range(t_start, t_end + 1):
-            if n_obs < K:
-                a = g = n_obs + 1
-                chi = delta = 0.0
-            else:
-                xi_log_w = xi * log(n_obs if n_obs < tau else tau)
-                n = wc[0]
-                g, ge = 1, (ws[0] / n if n > 0 else 0.0)
-                a, av, ae = 1, -inf, ge
-                for i in arms:
-                    n = wc[i]
-                    if n > 0:
-                        e = ws[i] / n
-                        v = e + sqrt(xi_log_w / n)
-                    else:
-                        e, v = 0.0, inf
-                    if v > av:
-                        a, av, ae = i + 1, v, e
-                    if e > ge:
-                        g, ge = i + 1, e
-                if a != g:
-                    chi = ge - ae
-                    if chi != chi or chi < 0.0:
-                        raise _bad_compensation(chi)
-                    delta = l * (chi if chi < cap else cap)
-                else:
-                    chi = delta = 0.0
-            mu_a = rows[t - 1][a - 1]
-            x = 1.0 if uniform() < mu_a else 0.0
-            r = x + delta
-            if not 0.0 <= r < inf:
-                raise _bad_reward(r)
-            if len(window) == tau:
-                old_i, old_r = pop()
-                wc[old_i] -= 1
-                ws[old_i] -= old_r
-            i = a - 1
-            push((i, r))
-            wc[i] += 1
-            ws[i] += r
-            raw[i] += 1
-            n_obs += 1
-
-            mu_star = best[t - 1]
-            pseudo += mu_star - mu_a
-            realized += mu_star - x
-            comp_sum += chi
-            reward_sum += x
-            if curves is not None:
-                app_p(pseudo)
-                app_r(realized)
-                app_c(comp_sum)
-                app_w(reward_sum)
-                if steps is not None:
-                    steps.append(StepOutcome(
-                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
-                    ))
-    finally:
-        pol.t = n_obs
-    return Totals(pseudo, realized, comp_sum, reward_sum)
-
-
-def _eps_greedy_segment(
-    pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch
-):
+def _eps_greedy_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     K = pol.K
     eps_c = pol.eps_c
     count, total = pol.count, pol.total
@@ -441,14 +323,15 @@ def _eps_greedy_segment(
     k = K.bit_length()
     arms = range(1, K)
     pseudo, realized, comp_sum, reward_sum = acc
+    t = t_start - 1
     if curves is not None:
         app_p = curves.pseudo_regret.append
         app_r = curves.realized_regret.append
         app_c = curves.compensation.append
         app_w = curves.true_reward.append
-        steps = curves.steps
+        records = curves.steps
     try:
-        for t in range(t_start, t_end + 1):
+        for row, mu_star in steps:
             if n_obs < K:
                 a = g = n_obs + 1
                 chi = delta = 0.0
@@ -477,7 +360,7 @@ def _eps_greedy_segment(
                     delta = l * (chi if chi < cap else cap)
                 else:
                     chi = delta = 0.0
-            mu_a = rows[t - 1][a - 1]
+            mu_a = row[a - 1]
             x = 1.0 if uniform() < mu_a else 0.0
             r = x + delta
             if not 0.0 <= r < inf:
@@ -486,7 +369,6 @@ def _eps_greedy_segment(
             total[a - 1] += r
             n_obs += 1
 
-            mu_star = best[t - 1]
             pseudo += mu_star - mu_a
             realized += mu_star - x
             comp_sum += chi
@@ -496,8 +378,9 @@ def _eps_greedy_segment(
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
-                if steps is not None:
-                    steps.append(StepOutcome(
+                if records is not None:
+                    t += 1
+                    records.append(StepOutcome(
                         t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
                     ))
     finally:
@@ -513,7 +396,7 @@ def _cheng(s):
     return s, 0.0, 0.0, 0.0
 
 
-def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves, batch):
+def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     K = pol.K
     alpha, beta = pol.alpha, pol.beta
     n_obs = pol.t
@@ -525,14 +408,15 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
     cb = [_cheng(s) for s in beta]
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
+    t = t_start - 1
     if curves is not None:
         app_p = curves.pseudo_regret.append
         app_r = curves.realized_regret.append
         app_c = curves.compensation.append
         app_w = curves.true_reward.append
-        steps = curves.steps
+        records = curves.steps
     try:
-        for t in range(t_start, t_end + 1):
+        for row, mu_star in steps:
             if n_obs < K:
                 a = g = n_obs + 1
                 chi = delta = 0.0
@@ -593,7 +477,7 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
                     delta = l * (chi if chi < cap else cap)
                 else:
                     chi = delta = 0.0
-            mu_a = rows[t - 1][a - 1]
+            mu_a = row[a - 1]
             x = 1.0 if uniform() < mu_a else 0.0
             r = x + delta
             if not 0.0 <= r < inf:
@@ -607,7 +491,6 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
                 cb[i] = _cheng(beta[i])
             n_obs += 1
 
-            mu_star = best[t - 1]
             pseudo += mu_star - mu_a
             realized += mu_star - x
             comp_sum += chi
@@ -617,8 +500,9 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
                 app_r(realized)
                 app_c(comp_sum)
                 app_w(reward_sum)
-                if steps is not None:
-                    steps.append(StepOutcome(
+                if records is not None:
+                    t += 1
+                    records.append(StepOutcome(
                         t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
                     ))
     finally:
@@ -627,9 +511,9 @@ def _thompson_segment(pol, rows, best, t_start, t_end, l, cap, rng, acc, curves,
 
 
 _KERNELS = {
-    Ucb1Policy: _ucb1_segment,
-    DucbPolicy: _ducb_segment,
-    SwucbPolicy: _swucb_segment,
+    Ucb1Policy: _ucb_segment,
+    DucbPolicy: _ucb_segment,
+    SwucbPolicy: _ucb_segment,
     EpsGreedyPolicy: _eps_greedy_segment,
     ThompsonPolicy: _thompson_segment,
 }

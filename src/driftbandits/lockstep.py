@@ -1,5 +1,7 @@
 """The lockstep block engine: many replications of one UCB1, DUCB or SWUCB
-config at once, bit-identical to the step kernels of ``incentive`` rep by rep.
+config at once, bit-identical rep by rep to the UCB-family step kernel of
+``incentive``.  Of its three kernels (UCB family, eps-greedy, Thompson), only
+that one has a lockstep engine.
 
 ``run_block`` keeps each statistic as an array with one row per lane and
 advances every lane with one Python loop over the steps.  A lane is a
@@ -15,9 +17,9 @@ lanes are the reps.
   transcendental term, the log of that count, stays one scalar ``math.log``
   per step (numpy's ``log`` is not libm's).
 * The rest is + - * / and sqrt, which numpy rounds as Python does, and
-  ``argmax`` takes the first maximum, as the kernels' strict ``>`` does.
+  ``argmax`` takes the first maximum, as the kernel's strict ``>`` does.
 * A lane stores only its arm and its compensation per step; a second pass
-  rebuilds the kernels' per-step increments in time order, rep by rep, and
+  rebuilds the kernel's per-step increments in time order, rep by rep, and
   sums them with sequential ``add.accumulate`` from the carried totals.
 * Each chunk's curves are folded over the reps as soon as it is summed, by
   ``add.reduce`` over a leading rep axis, which adds one rep's rows after
@@ -25,8 +27,8 @@ lanes are the reps.
   innermost axis).
 
 The step checks run once per chunk of steps and are stricter than the
-kernels' (any non-finite compensation fails too): the caller reruns a failed
-block on the kernels, which raise or finish exactly as always.
+kernel's (any non-finite compensation fails too): the caller reruns a failed
+block on the kernel, which raises or finishes exactly as always.
 """
 
 from __future__ import annotations

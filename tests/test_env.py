@@ -135,6 +135,16 @@ class TestQueries:
         assert env.schedule.rows[1666 - 1] == (0.99, 0.01)
         assert env.schedule.rows[1667 - 1] == (0.01, 0.99)
 
+    def test_views_share_each_run_of_equal_values(self):
+        for env in (make_sinusoidal_env(5000, 6.0, 0.3, 1.0),
+                    make_flip_env(5000, 3, 0.99, 0.01)):
+            s = env.schedule
+            assert s.rows == tuple(tuple(row) for row in s.means.tolist())
+            assert s.best_mean == tuple(s.means.max(axis=1).tolist())
+        # the flip schedule, last: one row per segment, one best mean throughout
+        assert len({id(row) for row in s.rows}) == 3
+        assert len({id(v) for v in s.best_mean}) == 1
+
 
 def step_records(sched, seed):
     """Run eps-greedy over the schedule; the step records of every draw."""

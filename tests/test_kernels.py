@@ -9,6 +9,7 @@ curves, step records, the policy state and the random draws consumed.
 must give every replication the kernels' totals and curves, bit for bit.
 """
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -220,12 +221,24 @@ def test_thompson_kernel_matches_betavariate(prior, sigma):
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])
-@pytest.mark.parametrize("kind", ["eps_greedy", "thompson"])
+@pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_kernel_matches_reference_on_more_arms(kind, K):
     # eps_c = 20 explores on most steps: many randrange draws, and at these K
     # getrandbits rejects a different share of them than at K = 2
-    params = PolicyParams(kind=kind, eps_c=20.0, prior_a=0.8, prior_b=1.5)
+    params = dataclasses.replace(params_for(kind), eps_c=20.0, prior_a=0.8, prior_b=1.5)
     assert_kernel_matches_reference(params, multi_arm_env(K), 250, MODELS["saturating"], 29)
+
+
+@pytest.mark.parametrize("params, empty", [
+    # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
+    # without a pull
+    (PolicyParams(kind="ducb", gamma=1e-200), lambda p: 0.0 in p.disc_count),
+    (PolicyParams(kind="swucb", tau=3), lambda p: 0 in p.win_count),
+], ids=["ducb_count_underflows_to_zero", "swucb_arm_leaves_the_window"])
+def test_kernel_matches_reference_on_an_empty_ucb_arm(params, empty):
+    env, _ = ENVS["flip_b3"]
+    assert any(states_seen(params, env, 17, empty))
+    assert_kernel_matches_reference(params, env, T, MODELS["linear"], 17)
 
 
 def test_thompson_kernel_skips_the_beta_draw_after_a_zero_gamma():

@@ -18,6 +18,7 @@ def load(name):
 @pytest.mark.parametrize("name, argv, rows", [
     ("lockstep_crossover", ["--reps", "8,20", "--env", "flip"], 6),
     ("block_sizes", ["--reps", "4,40", "--sizes", "8,20", "--kinds", "ucb1,ducb"], 4),
+    ("kernel_speed", ["--envs", "flip,sinusoidal"], 5),
 ])
 def test_tool_prints_its_tables(name, argv, rows, capsys):
     assert load(name).main([*argv, "--T", "200", "--rounds", "1"]) == 0
