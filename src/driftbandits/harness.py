@@ -511,11 +511,10 @@ def run_replication(
     try:
         if resolved.sigma is not None:
             totals = run_restarting(envobj, resolved.sigma, resolved.policy_params,
-                                    resolved.drift_model, rng, curves=recorder)
+                                    config.drift, rng, curves=recorder)
         else:
             policy = make_policy(resolved.policy_params, resolved.K)
-            totals = run_incentivized(envobj, policy, resolved.drift_model, rng,
-                                      curves=recorder)
+            totals = run_incentivized(envobj, policy, config.drift, rng, curves=recorder)
     except ValueError as exc:
         # True rewards are 0 or 1, so a step check only fails once the drift
         # term l * chi (or a sum of drifted rewards) has left the float range.
@@ -566,7 +565,7 @@ def _run_reps(config: ExperimentConfig, reps: range, lockstep: bool,
     if lockstep:
         resolved = config.resolve()
         rngs = [make_rng(config.base_seed, rep) for rep in reps]
-        out = run_block(resolved.policy_params, build_env(config.env), resolved.drift_model,
+        out = run_block(resolved.policy_params, build_env(config.env), config.drift,
                         rngs, resolved.sigma or resolved.T, collect_curves)
         if out is not None:
             return Block(reps.start, *out)

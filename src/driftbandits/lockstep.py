@@ -11,8 +11,8 @@ too, so batch b of rep i reads exactly doubles ``start_b - 1 .. stop_b - 1``
 of rep i's stream, and every lane can step at once.  Without restarts the
 lanes are the reps.
 
-* Each rep's uniforms are the doubles of its ``random.Random``, made by a
-  copy of its Mersenne Twister vectorized over the reps (``_Streams``).
+* Each rep's uniforms are the ``random()`` doubles of its ``random.Random``,
+  read from it a chunk at a time (``_doubles``).
 * Every lane has taken the same number of local steps, so the one
   transcendental term, the log of that count, stays one scalar ``math.log``
   per step (numpy's ``log`` is not libm's).
@@ -51,58 +51,19 @@ LANE_BYTES = 8 * 2**20
 # go T / 16 steps at a time, and at most 2^14 lane-steps.
 _CHUNK_DOUBLES = 1 << 14
 _FOLD_CHUNKS = 16
-_UPPER, _LOWER, _MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
 
 
-def _twist(mt: np.ndarray) -> np.ndarray:
-    """MT19937's next 624 words of every (624,) row of ``mt``, as CPython makes them.
+def _doubles(rngs, n: int) -> np.ndarray:
+    """The next ``n`` ``random()`` doubles of every stream of ``rngs``, as an (R, n) array.
 
-    Word k mixes old words k and k + 1 (all 623 mixes read old words), and is
-    xored with word k + 397: old words for k < 227, new ones after that.
+    ``getrandbits(64 * n)`` takes a stream's next 2n 32-bit words and places
+    the first in the least significant bits, so its little-endian bytes are
+    the words in draw order; each double is made from two of them as
+    ``random()`` makes it, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
     """
-    y = (mt[:, :-1] & _UPPER) | (mt[:, 1:] & _LOWER)
-    y = (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    new = np.empty_like(mt)
-    np.bitwise_xor(mt[:, 397:], y[:, :227], out=new[:, :227])
-    np.bitwise_xor(new[:, :227], y[:, 227:454], out=new[:, 227:454])
-    np.bitwise_xor(new[:, 227:396], y[:, 454:], out=new[:, 454:623])
-    y = (mt[:, 623] & _UPPER) | (new[:, 0] & _LOWER)
-    new[:, 623] = new[:, 396] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    return new
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & 0x9D2C5680
-    y ^= (y << 15) & 0xEFC60000
-    return y ^ (y >> 18)
-
-
-class _Streams:
-    """The ``random()`` doubles of R ``random.Random`` streams, drawn together.
-
-    ``random.Random`` is MT19937: this runs its generation step and its
-    tempering on the (R, 624) uint32 states of ``getstate()``, vectorized
-    over the streams, and makes each double from two words as ``random()``
-    does, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  The streams must stand
-    at one position, as freshly seeded ones do; they are left untouched.
-    """
-
-    def __init__(self, rngs):
-        state = np.array([rng.getstate()[1] for rng in rngs], dtype=np.int64)
-        at = state[0, -1]
-        if (state[:, -1] != at).any():
-            raise ValueError("the streams stand at different positions")
-        self.mt = state[:, :-1].astype(np.uint32)
-        self.words = _temper(self.mt)[:, at:]  # drawn and not yet read
-
-    def doubles(self, n: int) -> np.ndarray:
-        """The next ``n`` doubles of every stream, as an (R, n) array."""
-        while self.words.shape[1] < 2 * n:
-            self.mt = _twist(self.mt)
-            self.words = np.concatenate((self.words, _temper(self.mt)), axis=1)
-        w, self.words = self.words[:, :2 * n], self.words[:, 2 * n:]
-        return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    raw = b"".join(rng.getrandbits(64 * n).to_bytes(8 * n, "little") for rng in rngs)
+    w = np.frombuffer(raw, dtype="<u4").reshape(len(rngs), 2 * n)
+    return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _in_range(a: np.ndarray) -> bool:
@@ -136,7 +97,8 @@ def capacity(params, T: int, K: int, sigma: int) -> tuple:
 
 
 def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=False):
-    """Run one replication per stream of ``rngs`` in lockstep; ``rngs`` are untouched.
+    """Run one replication per stream of ``rngs`` in lockstep; each stream
+    advances by T doubles, as on the kernels.
 
     The policy restarts every ``sigma`` steps (``sigma = T`` without
     restarts).  Returns ``(totals, curves)``: the :class:`Totals` fields of
@@ -152,7 +114,6 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     L = batches * R  # lane (b, i) is column b * R + i
     kind, xi, gamma, tau = params.kind, params.xi, params.gamma, params.tau
     l, cap = model.l, (model.cap if model.kind == "saturating" else None)
-    streams = _Streams(rngs)
     # The buffers hold a span of local steps, row j holding step j of every
     # lane.  Without restarts a span is a chunk of steps, drawn, stepped and
     # summed before the next; with restarts it is a whole batch, every
@@ -195,7 +156,7 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
             stop = min(first + span, T) if batches == 1 else T
             for c0 in range(first, stop, fold):
                 m = min(fold, stop - c0)
-                u = streams.doubles(m).T
+                u = _doubles(rngs, m).T
                 wins_rows[step_rows[c0 - first:c0 - first + m]] = (
                     u[:, :, None] < means[c0:c0 + m, None, :])
             arm = np.empty((span, L), dtype=_arm_dtype(K))  # each lane-step's arm

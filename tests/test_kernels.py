@@ -20,7 +20,7 @@ import pytest
 from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
-from driftbandits.lockstep import LANE_BYTES, LOCKSTEP_KINDS, _Streams, capacity, run_block
+from driftbandits.lockstep import LANE_BYTES, LOCKSTEP_KINDS, _doubles, capacity, run_block
 from driftbandits.policy import (
     POLICY_KINDS,
     PolicyParams,
@@ -278,21 +278,25 @@ SIGMAS = {"one_batch": T, "restarts": ENVS["sinusoidal_restarts"][1]}
 
 
 def kernel_reps(params, env, sigma, model, seeds, curves):
-    """Each seed's run on the kernels: its totals and its curve recorder."""
+    """Each seed's run on the kernels: its totals, its curve recorder and the
+    next double its stream draws after the run."""
     mode = "curves" if curves else "summary"
-    return [run(params, env, sigma, model, seed, run_segment, mode)[:2] for seed in seeds]
+    runs = (run(params, env, sigma, model, seed, run_segment, mode) for seed in seeds)
+    return [(totals, recorder, after) for totals, recorder, _, after in runs]
 
 
 def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
     """The block's totals are each rep's kernel totals; its folded curves are
     the rep-order fold of the kernel curves, and a 1-rep block's are that
-    rep's kernel curves, every point."""
+    rep's kernel curves, every point.  Each stream is left T doubles on,
+    one per step, where the kernels leave it."""
     rngs = [random.Random(seed) for seed in seeds]
     totals, block_curves = run_block(params, env, model, rngs, sigma, curves)
-    assert [rng.random() for rng in rngs] == [random.Random(s).random() for s in seeds]
     kernel_curves = []
-    for i, (ref, recorder) in enumerate(kernel_reps(params, env, sigma, model, seeds, curves)):
+    for i, (ref, recorder, after) in enumerate(kernel_reps(params, env, sigma, model, seeds,
+                                                           curves)):
         assert tuple(totals[:, i].tolist()) == ref
+        assert rngs[i].random() == after
         if curves:
             kernel_curves.append(np.array([getattr(recorder, name) for name in Totals._fields]))
             _, one = run_block(params, env, model, [random.Random(seeds[i])], sigma, True)
@@ -304,33 +308,40 @@ def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
     return totals
 
 
+def assert_draws_continue(rngs, sizes):
+    """``_doubles`` over ``sizes`` gives each stream's next ``random()``
+    doubles and leaves the stream just past them."""
+    refs = [random.Random() for _ in rngs]
+    for ref, rng in zip(refs, rngs):
+        ref.setstate(rng.getstate())
+    drawn = np.concatenate([_doubles(rngs, n) for n in sizes], axis=1)
+    assert drawn.tolist() == [[ref.random() for _ in range(sum(sizes))] for ref in refs]
+    assert [rng.getstate() for rng in rngs] == [ref.getstate() for ref in refs]
+
+
+def advanced(rng, words):
+    for _ in range(words):
+        rng.getrandbits(32)
+    return rng
+
+
 @pytest.mark.parametrize("rep", [0, 1, 2, 63, 10**6])
 def test_loaded_stream_continues_random(rep):
-    rng = make_rng(20240601, rep)
-    for _ in range(rep % 3):  # also from a stream that is not at a word boundary
-        rng.random()
-    stream = _Streams([rng])
-    sizes = (1, 311, 312, 313, 624, 2000, 6439)  # 10,000 doubles across twist boundaries
-    drawn = np.concatenate([stream.doubles(n) for n in sizes], axis=1)
-    assert drawn[0].tolist() == [rng.random() for _ in range(10_000)]
+    # 10,000 doubles across twist boundaries, also from odd word positions
+    rng = advanced(make_rng(20240601, rep), rep % 3)
+    assert_draws_continue([rng], (1, 311, 312, 313, 624, 2000, 6439))
 
 
 @pytest.mark.parametrize("words", [0, 1, 623, 624, 625])
 def test_streams_draw_every_stream_at_once(words):
-    rngs = [make_rng(7, rep) for rep in range(6)]
-    for rng in rngs:  # a common position, odd ones too
-        for _ in range(words):
-            rng.getrandbits(32)
-    streams = _Streams(rngs)
-    drawn = np.concatenate([streams.doubles(n) for n in (5, 700, 295)], axis=1)
-    assert drawn.tolist() == [[rng.random() for _ in range(1000)] for rng in rngs]
+    assert_draws_continue([advanced(make_rng(7, rep), words) for rep in range(6)],
+                          (5, 700, 295))
 
 
-def test_streams_refuse_different_positions():
-    rngs = [make_rng(7, 0), make_rng(7, 1)]
-    rngs[1].random()
-    with pytest.raises(ValueError, match="different positions"):
-        _Streams(rngs)
+def test_streams_at_different_positions_draw_their_own_doubles():
+    words = (0, 1, 311, 624, 625, 1249)
+    assert_draws_continue([advanced(make_rng(7, rep), w) for rep, w in enumerate(words)],
+                          (5, 700, 295))
 
 
 @pytest.mark.parametrize("curves", [False, True], ids=["summary", "curves"])
@@ -424,8 +435,9 @@ def test_lane_block_memory_is_bounded_by_its_stored_outputs():
     env = make_sinusoidal_env(5000, 24.0, 0.3, 1.0)
     params = PolicyParams(kind="ucb1")
     sigma = batch_size(5000, 24.0, 2, 3.0)
-    rngs = [make_rng(20240601, rep) for rep in range(8)]
-    run_block(params, env, MODELS["linear"], rngs, sigma)  # warm caches
+    run_block(params, env, MODELS["linear"], [make_rng(20240601, rep) for rep in range(8)],
+              sigma)  # warm caches
+    rngs = [make_rng(20240601, rep) for rep in range(8)]  # fresh streams
     tracemalloc.start()
     try:
         run_block(params, env, MODELS["linear"], rngs, sigma)

@@ -54,7 +54,7 @@ def rep_ms(config: harness.ExperimentConfig, R: int, rounds: int) -> float:
 
     def block():
         rngs = [harness.make_rng(config.base_seed, rep) for rep in range(R)]
-        if run_block(resolved.policy_params, env, resolved.drift_model, rngs,
+        if run_block(resolved.policy_params, env, config.drift, rngs,
                      resolved.sigma or resolved.T) is None:
             raise RuntimeError(f"a step check failed in {config}")
 

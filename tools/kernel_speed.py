@@ -45,7 +45,7 @@ def cell(config: harness.ExperimentConfig):
     def run() -> float:
         rng = harness.make_rng(config.base_seed, 0)
         start = time.process_time()
-        run_restarting(env, sigma, resolved.policy_params, resolved.drift_model, rng)
+        run_restarting(env, sigma, resolved.policy_params, config.drift, rng)
         return time.process_time() - start
 
     return run

@@ -45,8 +45,7 @@ def ratio(config: harness.ExperimentConfig, R: int, curves: bool, rounds: int) -
 
     def block():
         rngs = [harness.make_rng(config.base_seed, rep) for rep in reps]
-        if run_block(resolved.policy_params, env, resolved.drift_model, rngs, sigma,
-                     curves) is None:
+        if run_block(resolved.policy_params, env, config.drift, rngs, sigma, curves) is None:
             raise RuntimeError(f"a step check failed in {config}")
 
     best = {kernels: float("inf"), block: float("inf")}
