@@ -273,23 +273,27 @@ class Resolved:
     drift_model: DriftModel = field(compare=False)
 
 
-# What a run holds at once: the schedule and its per-step views
-# (``build_env``, 209 B per step at K = 2; a kernel segment shorter than the
-# horizon copies its steps' views, 16 B per step, and stays below that peak),
-# the (4, reps) totals (32 B per rep), for a UCB-family kind one lockstep
-# block's stored step outputs (at most LANE_BYTES), and with curves 320 B
-# per step (a kernel replication's curve lists and arrays, a block's and the
-# fold's (2, 4, T) sums, and the mean and stderr curves; measured with
-# tracemalloc at T = 100,000).  A config that needs more than MEMORY_LIMIT
-# bytes is refused, naming the larger of its per-step and per-rep terms; the
-# limit is fixed, so the refusal is the same on every host.
-STEP_BYTES, REP_BYTES, CURVE_BYTES = 209, 32, 320
+# What a run holds at once: the schedule and its per-step views at their
+# peak while ``build_env`` makes them, per environment family at K = 2 (a
+# flip schedule 152 B per step, of which it holds 32 once built, since a run
+# of equal rows is one object; a sinusoidal one 208 B; a kernel segment
+# shorter than the horizon copies its steps' views, 16 B per step, and
+# stays below that peak), the (4, reps) totals (32 B per rep), for a kind
+# with a lockstep engine one block's stored step outputs (at most
+# LANE_BYTES), and with curves 320 B per step (a kernel replication's curve
+# lists and arrays, a block's and the fold's (2, 4, T) sums, and the mean
+# and stderr curves).  All measured with tracemalloc at T = 100,000 and
+# 200,000.  A config that needs more than MEMORY_LIMIT bytes is refused,
+# naming the larger of its per-step and per-rep terms; the limit is fixed,
+# so the refusal is the same on every host.
+STEP_BYTES = {"flip": 153, "sinusoidal": 209}
+REP_BYTES, CURVE_BYTES = 32, 320
 MEMORY_LIMIT = 2**30
 
 
 def _check_memory(config, collect_curves: bool = False) -> None:
     T, reps = config.env.T, config.reps
-    steps = (STEP_BYTES + (CURVE_BYTES if collect_curves else 0)) * T
+    steps = (STEP_BYTES[config.env.kind] + (CURVE_BYTES if collect_curves else 0)) * T
     totals = REP_BYTES * reps
     blocks = LANE_BYTES if config.policy.kind in LOCKSTEP_KINDS else 0
     if steps + totals + blocks > MEMORY_LIMIT:

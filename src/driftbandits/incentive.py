@@ -17,8 +17,8 @@ policy and drift methods and the ``random.Random`` draws they make
 (``randrange``, ``betavariate``, ``gammavariate``), take the run's
 :class:`Totals` and return them updated, and append to a
 :class:`CurveRecorder` only when one is supplied.
-``lockstep.run_block`` runs many replications of a UCB-family config at
-once, bit-identical to the UCB-family kernel rep by rep.
+``lockstep.run_block`` runs many replications of a UCB-family or
+eps-greedy config at once, bit-identical to their kernels rep by rep.
 """
 
 from __future__ import annotations

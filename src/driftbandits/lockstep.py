@@ -1,18 +1,26 @@
-"""The lockstep block engine: many replications of one UCB1, DUCB or SWUCB
-config at once, bit-identical rep by rep to the UCB-family step kernel of
-``incentive``.  Of its three kernels (UCB family, eps-greedy, Thompson), only
-that one has a lockstep engine.
+"""The lockstep block engine: many replications of one UCB1, DUCB, SWUCB or
+eps-greedy config at once, bit-identical rep by rep to the UCB-family and
+eps-greedy step kernels of ``incentive``.  Of its three kernels, only
+Thompson's has no lockstep engine: how many words its step draws depends on
+its posterior.
 
 ``run_block`` keeps each statistic as an array with one row per lane and
 advances every lane with one Python loop over the steps.  A lane is a
 (replication, restart batch) pair: a restart batch starts from a fresh
-policy, and a UCB-family step draws exactly one uniform, in the round-robin
-too, so batch b of rep i reads exactly doubles ``start_b - 1 .. stop_b - 1``
-of rep i's stream, and every lane can step at once.  Without restarts the
+policy, and what a step draws depends only on the stream and the step's
+place in its batch, so where each batch starts in its rep's stream is known
+before any step runs, and every lane can step at once.  Without restarts the
 lanes are the reps.
 
-* Each rep's uniforms are the ``random()`` doubles of its ``random.Random``,
-  read from it a chunk at a time (``_doubles``).
+* A UCB-family step draws exactly one uniform, in the round-robin too, so
+  batch b of rep i reads exactly doubles ``start_b - 1 .. stop_b - 1`` of
+  rep i's stream: the ``random()`` doubles of its ``random.Random``, read
+  from it a chunk at a time (``_doubles``).
+* An eps-greedy step draws an explore test (only once the round-robin is
+  over and while eps < 1), an explored arm (only on exploring) and its
+  reward uniform; ``_eps_draws`` makes these calls on each rep's own
+  ``random.Random`` in the kernel's order, and the step takes the greedy
+  arm (``argmax``, the first maximum) wherever it does not explore.
 * Every lane has taken the same number of local steps, so the one
   transcendental term, the log of that count, stays one scalar ``math.log``
   per step (numpy's ``log`` is not libm's).
@@ -41,10 +49,13 @@ from .incentive import DriftModel
 
 __all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 
-LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb")
-# A block runs in lockstep from LOCKSTEP_MIN lanes (README "Block sizes": the
-# crossover, measured on 2 cores) while its lanes store at most LANE_BYTES.
+LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb", "eps_greedy")
+# A block runs in lockstep from LOCKSTEP_MIN lanes, an eps-greedy block from
+# _EPS_GREEDY_MIN (README "Block sizes": the crossovers, measured on 2 cores;
+# eps-greedy's kernel is the cheaper one to beat), while its lanes store at
+# most LANE_BYTES.
 LOCKSTEP_MIN = 20
+_EPS_GREEDY_MIN = 32
 LANE_BYTES = 8 * 2**20
 # Steps at a time, over all reps: without restarts 2^14 uniforms are drawn,
 # stepped and summed at a time; with restarts the draws and the second pass
@@ -66,6 +77,47 @@ def _doubles(rngs, n: int) -> np.ndarray:
     return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
+def _eps_draws(rngs, start: int, m: int, sigma: int, K: int, eps_c: float):
+    """Every stream's draws for steps ``start .. start + m - 1`` (0-based) of an
+    eps-greedy run restarting every ``sigma`` steps, drawn as the kernel draws
+    them: the (m, R) reward uniforms, and the (m, R) arms the steps explore,
+    K where a step takes the greedy arm.
+
+    A step's draws depend only on the stream and its batch-local step count
+    n: after the round-robin (n >= K) an explore test ``random() < eps`` with
+    ``eps = eps_c * K / n``, skipped while eps >= 1, then on exploring
+    ``randrange(K)`` as ``getrandbits`` until below K, and last the reward
+    uniform.
+    """
+    # per step: -1 in the round-robin, else eps (>= 1 explores without a draw)
+    c, ps = eps_c * K, []
+    t, stop = start, start + m
+    while t < stop:  # the local steps n of one batch at a time
+        n = t % sigma
+        ps += [c / j if j >= K else -1.0 for j in range(n, min(sigma, n + stop - t))]
+        t += min(sigma - n, stop - t)
+    k = K.bit_length()
+    u = []
+    explored = np.full((len(rngs), m), K, dtype=np.min_scalar_type(K))
+    for i, rng in enumerate(rngs):
+        uniform, getrandbits = rng.random, rng.getrandbits
+        rep = []
+        draw = rep.append
+        hits = []
+        for p in ps:
+            if p >= 1.0 or (p >= 0.0 and uniform() < p):
+                a = getrandbits(k)
+                while a >= K:
+                    a = getrandbits(k)
+                hits.append((len(rep), a))
+            draw(uniform())
+        u.append(rep)
+        if hits:
+            at, arms = zip(*hits)
+            explored[i, list(at)] = arms
+    return np.array(u).T, explored.T
+
+
 def _in_range(a: np.ndarray) -> bool:
     """Whether every value lies in [0, inf); NaN fails."""
     return 0.0 <= a.min() and a.max() < inf
@@ -79,26 +131,31 @@ def capacity(params, T: int, K: int, sigma: int) -> tuple:
     """The fewest and the most reps of a lockstep block restarting every ``sigma`` steps.
 
     A block runs in lockstep once its lanes (replications times restart
-    batches) reach ``LOCKSTEP_MIN``, and while its lanes store at most
-    ``LANE_BYTES``: with restarts, every lane-step keeps its arm wins (K
-    bools), its arm and its compensation until the second pass, and a SWUCB
-    window shorter than a batch keeps a ring of (index, reward) pairs per
-    lane.  A run without restarts stores nothing per step beyond a
-    fixed-size chunk, so its most is ``inf``.  A kind without a lockstep
-    engine gets ``(inf, 0)``.
+    batches) reach ``LOCKSTEP_MIN`` (eps-greedy: ``_EPS_GREEDY_MIN``), and
+    while its lanes store at most ``LANE_BYTES``: with restarts, every
+    lane-step keeps its arm wins (K bools), its arm and its compensation
+    until the second pass, and a SWUCB window shorter than a batch keeps a
+    ring of (index, reward) pairs per lane; an eps-greedy lane-step also
+    keeps the arm it explores, or K.  A run without restarts stores nothing
+    per step beyond a fixed-size chunk, so its most is ``inf``.  Thompson,
+    which has no lockstep engine, gets ``(inf, 0)``.
     """
     if params.kind not in LOCKSTEP_KINDS:
         return inf, 0
     batches = -(-T // sigma)
-    stored = 0 if batches == 1 else batches * sigma * (K + _arm_dtype(K).itemsize + 8)
+    step = K + _arm_dtype(K).itemsize + 8
+    if params.kind == "eps_greedy":
+        step += np.min_scalar_type(K).itemsize
+    stored = 0 if batches == 1 else batches * sigma * step
     if params.kind == "swucb" and params.tau < sigma:
         stored += batches * params.tau * 16
-    return -(-LOCKSTEP_MIN // batches), LANE_BYTES // stored if stored else inf
+    lanes = _EPS_GREEDY_MIN if params.kind == "eps_greedy" else LOCKSTEP_MIN
+    return -(-lanes // batches), LANE_BYTES // stored if stored else inf
 
 
 def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=False):
     """Run one replication per stream of ``rngs`` in lockstep; each stream
-    advances by T doubles, as on the kernels.
+    advances as far as on the kernels (a UCB-family run by T doubles).
 
     The policy restarts every ``sigma`` steps (``sigma = T`` without
     restarts).  Returns ``(totals, curves)``: the :class:`Totals` fields of
@@ -127,6 +184,10 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
         span, fold = sigma, max(1, min(-(-T // _FOLD_CHUNKS), _CHUNK_DOUBLES // R))
     wins = np.zeros((span, batches, R, K), dtype=bool)  # the reward x if a lane pulls an arm
     wins_rows, lane_wins = wins.reshape(-1, R, K), wins.reshape(span, L, K)
+    eps = kind == "eps_greedy"
+    if eps:  # the arm a lane-step explores, or K where it takes the greedy arm
+        explore = np.full((span, batches, R), K, dtype=np.min_scalar_type(K))
+        explore_rows, lane_explore = explore.reshape(-1, R), explore.reshape(span, L)
     step_rows = np.arange(span * batches).reshape(span, batches).T.reshape(-1)
     r = np.empty(L)  # the lanes' drifted rewards of one step
     # cum[:, 1 + j] holds the totals after a summed chunk's step j, and row 0
@@ -156,9 +217,14 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
             stop = min(first + span, T) if batches == 1 else T
             for c0 in range(first, stop, fold):
                 m = min(fold, stop - c0)
-                u = _doubles(rngs, m).T
-                wins_rows[step_rows[c0 - first:c0 - first + m]] = (
-                    u[:, :, None] < means[c0:c0 + m, None, :])
+                rows = step_rows[c0 - first:c0 - first + m]
+                if eps:
+                    u, explore_rows[rows] = _eps_draws(rngs, c0, m, sigma, K, params.eps_c)
+                else:
+                    u = _doubles(rngs, m).T
+                wins_rows[rows] = u[:, :, None] < means[c0:c0 + m, None, :]
+            if eps:
+                explores = (lane_explore < K).any(axis=1)  # whether any lane explores
             arm = np.empty((span, L), dtype=_arm_dtype(K))  # each lane-step's arm
             chi = np.empty((span, L))  # and its compensation
             for j in range(min(span, sigma - first)):
@@ -167,29 +233,37 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                     arm[j] = n_obs
                     chi[j] = 0.0
                 else:
-                    if kind == "ucb1":
-                        c = 2.0 * log(n_obs)
-                    elif kind == "ducb":
-                        c = xi * log(n_disc)
-                    else:
-                        c = xi * log(n_obs if n_obs < tau else tau)
                     e = s / n
-                    v = c / n
-                    np.sqrt(v, out=v)
-                    if kind == "ducb":
-                        v *= 2.0
-                    v += e
-                    if (kind == "swucb" or least == 0.0) and not n.all():
-                        empty = n == 0.0
-                        e[empty] = 0.0
-                        v[empty] = inf
-                    a = v.argmax(axis=1)
+                    if eps:  # every arm has a pull since the batch began
+                        a = e.argmax(axis=1)
+                        if explores[j]:
+                            np.copyto(a, lane_explore[j], where=lane_explore[j] < K)
+                    else:
+                        if kind == "ucb1":
+                            c = 2.0 * log(n_obs)
+                        elif kind == "ducb":
+                            c = xi * log(n_disc)
+                        else:
+                            c = xi * log(n_obs if n_obs < tau else tau)
+                        v = c / n
+                        np.sqrt(v, out=v)
+                        if kind == "ducb":
+                            v *= 2.0
+                        v += e
+                        if (kind == "swucb" or least == 0.0) and not n.all():
+                            empty = n == 0.0
+                            e[empty] = 0.0
+                            v[empty] = inf
+                        a = v.argmax(axis=1)
                     arm[j] = a
                     idx = a + ar_k
-                    greedy = e[:, 0]
-                    for i in range(1, K):
-                        greedy = np.maximum(greedy, e[:, i])
-                    np.subtract(greedy, e.take(idx), out=chi[j])
+                    if eps and not explores[j]:  # every lane takes its greedy arm
+                        chi[j] = 0.0
+                    else:
+                        greedy = e[:, 0]
+                        for i in range(1, K):
+                            greedy = np.maximum(greedy, e[:, i])
+                        np.subtract(greedy, e.take(idx), out=chi[j])
                 if cap is None:
                     np.multiply(chi[j], l, out=r)
                 else:

@@ -38,7 +38,13 @@ from driftbandits.harness import (
     write_summary_json,
 )
 from driftbandits.incentive import DriftModel, run_segment
-from driftbandits.lockstep import LANE_BYTES, LOCKSTEP_KINDS, LOCKSTEP_MIN, capacity
+from driftbandits.lockstep import (
+    _EPS_GREEDY_MIN,
+    LANE_BYTES,
+    LOCKSTEP_KINDS,
+    LOCKSTEP_MIN,
+    capacity,
+)
 from driftbandits.policy import PolicyParams, Ucb1Policy
 from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng, rep_seed
@@ -449,6 +455,7 @@ def summary_facts(summary):
 def scalar_only(monkeypatch):
     """Run every block on the scalar kernels."""
     monkeypatch.setattr(lockstep, "LOCKSTEP_MIN", 10**9)
+    monkeypatch.setattr(lockstep, "_EPS_GREEDY_MIN", 10**9)
 
 
 def plan(config, workers=1, curves=False):
@@ -459,11 +466,12 @@ def plan(config, workers=1, curves=False):
 class TestLockstep:
     """Lockstep blocks give every replication its scalar-kernel numbers."""
 
-    @pytest.mark.parametrize("reps", [LOCKSTEP_MIN - 1, LOCKSTEP_MIN, LOCKSTEP_MIN + 5],
-                             ids=["below", "at", "above"])
-    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb"])
-    def test_block_sizes_around_the_crossover(self, kind, reps, monkeypatch):
+    @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb", "eps_greedy"])
+    def test_block_sizes_around_the_crossover(self, kind, offset, monkeypatch):
+        reps = (_EPS_GREEDY_MIN if kind == "eps_greedy" else LOCKSTEP_MIN) + offset
         config = small_config(policy=preset_policy(kind), reps=reps)
+        assert plan(config, curves=True) == [(range(reps), offset >= 0)]
         lockstep = summary_facts(run_experiment(config, collect_curves=True))
         scalar_only(monkeypatch)
         assert lockstep == summary_facts(run_experiment(config, collect_curves=True))
@@ -519,6 +527,21 @@ class TestLockstep:
         run_experiment(flip_config(3, PolicyParams(kind="ucb1"), reps=12))
         assert sizes == [8]
 
+    def test_eps_greedy_restart_batches_are_lanes(self, monkeypatch):
+        # drift-restart's eps-greedy cell: 8 reps, 90 batches each, so 720 lanes
+        sizes = []
+        original = harness.run_block
+        monkeypatch.setattr(harness, "run_block",
+                            lambda *args: sizes.append(len(args[3])) or original(*args))
+        config = sinusoidal_config(24.0, PolicyParams(kind="eps_greedy", eps_c=1.0), reps=8,
+                                   lam=0.5)
+        resolved = config.resolve()
+        assert -(-resolved.T // resolved.sigma) == 90
+        lanes = summary_facts(run_experiment(config))
+        assert sizes == [8]
+        scalar_only(monkeypatch)
+        assert summary_facts(run_experiment(config)) == lanes
+
     def test_drift_overflow_in_a_block_is_refused_as_on_the_kernels(self):
         config = small_config(env=EnvSpec(kind="flip", T=5000, segments=4),
                               policy=preset_policy("swucb"),
@@ -529,7 +552,7 @@ class TestLockstep:
 
 class TestPoolPlan:
     def test_large_request_clamped_to_cpus(self, pools):
-        config = small_config(policy=PolicyParams(kind="eps_greedy"), reps=100)
+        config = small_config(policy=PolicyParams(kind="thompson"), reps=100)
         assert summary_facts(run_experiment(config, workers=10**9)) == summary_facts(
             run_experiment(config, workers=2))
         assert [size for size, _ in pools] == [2, 2]
@@ -540,7 +563,7 @@ class TestPoolPlan:
     def test_pool_never_exceeds_chunks(self, pools, monkeypatch):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 16)
         for reps in (3, 1):
-            run_experiment(small_config(policy=PolicyParams(kind="eps_greedy"), reps=reps),
+            run_experiment(small_config(policy=PolicyParams(kind="thompson"), reps=reps),
                            workers=8)
         # one block per rep; a single block runs in-process
         assert [size for size, _ in pools] == [3]
@@ -582,7 +605,7 @@ class TestPoolPlan:
 
     def test_lockstep_below_the_crossover_keeps_the_scalar_plan(self, monkeypatch):
         def scalar_plan(config, workers):
-            return plan(dataclasses.replace(config, policy=PolicyParams(kind="eps_greedy")),
+            return plan(dataclasses.replace(config, policy=PolicyParams(kind="thompson")),
                         workers)
 
         below = small_config(policy=preset_policy("ucb1"), reps=LOCKSTEP_MIN - 1)
@@ -603,7 +626,7 @@ class TestPoolPlan:
                             raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        config = small_config(policy=PolicyParams(kind="eps_greedy"), reps=8)
+        config = small_config(policy=PolicyParams(kind="thompson"), reps=8)
         assert len(plan(config, 2)) >= 2  # two CPUs would start a pool
         run_experiment(config, workers=2)
         monkeypatch.delattr(harness.os, "sched_getaffinity")
@@ -611,7 +634,7 @@ class TestPoolPlan:
             run_experiment(config, workers=2)
 
     def test_parent_memory_does_not_grow_with_reps(self, monkeypatch):
-        # eps-greedy runs on the scalar kernels in blocks of at most
+        # Thompson runs on the scalar kernels in blocks of at most
         # CURVE_BLOCK reps, each folded into a (2, 4, T) sum where it is made.
         # Per rep the parent keeps the (4, reps) totals of the summary (32 B)
         # and std's temporaries of them; one kept T = 100 curve per rep would
@@ -624,7 +647,7 @@ class TestPoolPlan:
 
         def peak(reps):
             config = small_config(env=EnvSpec(kind="flip", T=100),
-                                  policy=PolicyParams(kind="eps_greedy"), reps=reps)
+                                  policy=PolicyParams(kind="thompson"), reps=reps)
             tracemalloc.start()
             try:
                 run_experiment(config, workers=2, collect_curves=True)
@@ -644,12 +667,14 @@ class TestPoolPlan:
 
 def stored_bytes(resolved):
     """The bytes a lockstep replication stores at K = 2, as README's "Lockstep
-    blocks" counts them: with restarts 11 B per lane-step, and 16 B per slot
-    of a SWUCB window shorter than a batch."""
+    blocks" counts them: with restarts 11 B per lane-step (12 B for
+    eps-greedy, which keeps the arm it explores too), and 16 B per slot of a
+    SWUCB window shorter than a batch."""
     sigma = resolved.sigma or resolved.T
     batches = -(-resolved.T // sigma)
     ring = 16 * resolved.tau if resolved.tau is not None and resolved.tau < sigma else 0
-    return batches * (11 * sigma * (batches > 1) + ring)
+    step = 12 if resolved.policy_params.kind == "eps_greedy" else 11
+    return batches * (step * sigma * (batches > 1) + ring)
 
 
 PLAN_CONFIGS = st.builds(
@@ -684,7 +709,8 @@ def test_plan_partitions_the_reps_and_flags_exactly_the_lockstep_blocks(config, 
     for r, lock in blocks:
         if lock:
             assert config.policy.kind in LOCKSTEP_KINDS
-            assert len(r) * lanes >= LOCKSTEP_MIN
+            assert len(r) * lanes >= (
+                _EPS_GREEDY_MIN if config.policy.kind == "eps_greedy" else LOCKSTEP_MIN)
             assert len(r) * stored_bytes(resolved) <= LANE_BYTES
 
 
@@ -760,7 +786,7 @@ class TestMemoryLimit:
     @given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from(["flip", "sinusoidal"]))
     @settings(max_examples=200, deadline=None)
     def test_huge_sizes_are_refused_before_any_allocation(self, T, reps, kind):
-        steps, totals = harness.STEP_BYTES * T, harness.REP_BYTES * reps
+        steps, totals = harness.STEP_BYTES[kind] * T, harness.REP_BYTES * reps
         assume(steps + totals > harness.MEMORY_LIMIT)
         config = small_config(env=EnvSpec(kind=kind, T=T), reps=reps)
         tracemalloc.start()
@@ -775,7 +801,7 @@ class TestMemoryLimit:
 
     def test_limit_is_inclusive(self, monkeypatch):
         config = small_config()  # T = 300, 6 reps of DUCB, which has a lockstep engine
-        need = harness.STEP_BYTES * 300 + harness.REP_BYTES * 6 + LANE_BYTES
+        need = harness.STEP_BYTES["flip"] * 300 + harness.REP_BYTES * 6 + LANE_BYTES
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need)
         config.resolve()
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need - 1)
@@ -786,12 +812,33 @@ class TestMemoryLimit:
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need + harness.CURVE_BYTES * 300)
         run_experiment(config, collect_curves=True)
 
+    def test_each_environment_family_is_charged_its_own_peak(self):
+        # a flip schedule peaks at 152 B per step while its views are built,
+        # a sinusoidal one at 208 B: the flip limit lies past the sinusoidal one
+        policy = PolicyParams(kind="thompson")  # no lockstep block to count
+        flip_T = (harness.MEMORY_LIMIT - harness.REP_BYTES) // harness.STEP_BYTES["flip"]
+        sin_T = (harness.MEMORY_LIMIT - harness.REP_BYTES) // harness.STEP_BYTES["sinusoidal"]
+        assert 7_000_000 < flip_T < 7_100_000 and 5_100_000 < sin_T < 5_200_000
+        for kind, limit in (("flip", flip_T), ("sinusoidal", sin_T)):
+            harness._check_memory(small_config(env=EnvSpec(kind=kind, T=limit), policy=policy,
+                                               reps=1))
+            with pytest.raises(ConfigError, match="env.T"):
+                harness._check_memory(small_config(env=EnvSpec(kind=kind, T=limit + 1),
+                                                   policy=policy, reps=1))
+        # a flip horizon the sinusoidal charge would refuse
+        flip = small_config(env=EnvSpec(kind="flip", T=sin_T + 1), policy=policy, reps=1)
+        harness._check_memory(flip)
+        with pytest.raises(ConfigError, match="env.T"):
+            harness._check_memory(dataclasses.replace(
+                flip, env=EnvSpec(kind="sinusoidal", T=sin_T + 1)))
+
     def test_every_preset_fits(self):
         from driftbandits.cli import REPRODUCE_PRESETS
 
         for presets in REPRODUCE_PRESETS.values():
             for _, _, config in presets:
-                need = harness.STEP_BYTES * config.env.T + harness.REP_BYTES * config.reps
+                need = (harness.STEP_BYTES[config.env.kind] * config.env.T
+                        + harness.REP_BYTES * config.reps)
                 assert need <= harness.MEMORY_LIMIT / 100
 
     def test_every_preset_is_admitted_with_its_curves_and_blocks(self):
@@ -938,12 +985,14 @@ def test_config_dict_is_refused_or_runs_finite(d):
     assert all(math.isfinite(v) for v in summary.mean.values())
 
 
-# UCB-family configs with enough reps for a lockstep block: both env families
-# and drift kinds, restarts on and off, and extreme gamma, tau, xi, l, cap and lam.
+# UCB-family and eps-greedy configs with enough reps for a lockstep block: both
+# env families and drift kinds, restarts on and off, and extreme gamma, tau,
+# xi, eps_c, l, cap and lam.
 POSITIVE = st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0, 2.0, 1e10, 1e300, 1e308])
 XIS = st.sampled_from([0.5, 0.6, 1.0, 2.0, 1e10, 1e300, 1e308])
 GAMMAS = st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 0.99, 1.0 - 1e-12, 1.0])
 TAUS = st.sampled_from([1, 2, 3, 10**9]) | st.integers(1, 400)
+EPS_CS = st.sampled_from([5e-324, 1e-300, 0.01, 0.5, 1.0, 5.0, 20.0, 1e10, 1e300, 1e308])
 
 
 def tuned(kind, explicit, values, constant):
@@ -952,7 +1001,8 @@ def tuned(kind, explicit, values, constant):
 
 
 def engine_configs(reps, restart):
-    """UCB-family config dicts with ``reps`` replications and ``restart`` sections."""
+    """UCB-family and eps-greedy config dicts with ``reps`` replications and
+    ``restart`` sections."""
     return st.fixed_dictionaries(
         {
             "env": st.one_of(
@@ -963,7 +1013,9 @@ def engine_configs(reps, restart):
             ),
             "policy": st.one_of(st.just({"kind": "ucb1"}),
                                 tuned("ducb", "gamma", GAMMAS, "gamma_c"),
-                                tuned("swucb", "tau", TAUS, "tau_c")),
+                                tuned("swucb", "tau", TAUS, "tau_c"),
+                                st.fixed_dictionaries({"kind": st.just("eps_greedy"),
+                                                       "eps_c": EPS_CS})),
             "drift": st.one_of(
                 st.fixed_dictionaries({"kind": st.just("linear"),
                                        "l": st.just(0.0) | POSITIVE}),
@@ -978,7 +1030,7 @@ def engine_configs(reps, restart):
 
 
 RESTARTS = st.fixed_dictionaries({}, optional={"sigma": st.integers(1, 300), "lam": POSITIVE})
-LOCKSTEP_CONFIGS = engine_configs(st.integers(LOCKSTEP_MIN, LOCKSTEP_MIN + 12),
+LOCKSTEP_CONFIGS = engine_configs(st.integers(LOCKSTEP_MIN, _EPS_GREEDY_MIN + 12),
                                   st.none() | RESTARTS)
 # Restart batches are lanes, so a handful of reps already fills a lockstep block.
 LANE_CONFIGS = engine_configs(st.integers(1, 8), RESTARTS)
@@ -1013,6 +1065,13 @@ def assert_engines_agree(d, curves):
 @example({"env": {"kind": "flip", "T": 8}, "reps": LOCKSTEP_MIN,
           "policy": {"kind": "swucb", "tau_c": 5e-324},
           "drift": {"kind": "saturating", "l": 1e308, "cap": 0.5}}, False)
+# eps-greedy exploring on every step (eps_c * K overflows to inf), with a
+# drift overflow, and one whose explore tests never pass (eps = 0.0)
+@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": _EPS_GREEDY_MIN,
+          "policy": {"kind": "eps_greedy", "eps_c": 1e308},
+          "drift": {"kind": "linear", "l": 1e308}}, True)
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": _EPS_GREEDY_MIN,
+          "policy": {"kind": "eps_greedy", "eps_c": 5e-324}}, False)
 @settings(max_examples=500, deadline=None)
 def test_lockstep_and_scalar_engines_agree(d, curves):
     assert_engines_agree(d, curves)
@@ -1044,6 +1103,9 @@ def test_lockstep_and_scalar_engines_agree(d, curves):
 @example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": 8,
           "policy": {"kind": "swucb", "tau_c": 1.0}, "restart": {"sigma": 50},
           "drift": {"kind": "linear", "l": 1e300}}, False)
+# eps-greedy lanes: round-robin and always-explore steps in every batch
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": 2,
+          "policy": {"kind": "eps_greedy", "eps_c": 5.0}, "restart": {"sigma": 30}}, True)
 @settings(max_examples=300, deadline=None)
 def test_lane_and_scalar_engines_agree(d, curves):
     assert_engines_agree(d, curves)

@@ -5,8 +5,9 @@ block engine against the kernels.
 inline the policy and drift methods; ``reference_loop.reference_segment``
 calls those methods once per step.  The two must agree bit for bit: totals,
 curves, step records, the policy state and the random draws consumed.
-``run_block`` steps many replications of a UCB-family config at once and
-must give every replication the kernels' totals and curves, bit for bit.
+``run_block`` steps many replications of a UCB-family or eps-greedy config
+at once and must give every replication the kernels' totals and curves, bit
+for bit, and leave every stream where the kernels leave it.
 """
 
 import dataclasses
@@ -288,8 +289,8 @@ def kernel_reps(params, env, sigma, model, seeds, curves):
 def assert_block_matches_kernels(params, env, sigma, model, seeds, curves):
     """The block's totals are each rep's kernel totals; its folded curves are
     the rep-order fold of the kernel curves, and a 1-rep block's are that
-    rep's kernel curves, every point.  Each stream is left T doubles on,
-    one per step, where the kernels leave it."""
+    rep's kernel curves, every point.  Each stream is left where the kernels
+    leave it: its next double is theirs."""
     rngs = [random.Random(seed) for seed in seeds]
     totals, block_curves = run_block(params, env, model, rngs, sigma, curves)
     kernel_curves = []
@@ -369,6 +370,25 @@ def states_seen(params, env, seed, state):
     return seen
 
 
+@pytest.mark.parametrize("K", [3, 5, 8])
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_block_matches_the_kernels_on_more_arms(kind, K):
+    # eps_c = 20 explores on most steps of a 250-step batch: many randrange
+    # draws, and at these K getrandbits rejects a different share of them
+    params = dataclasses.replace(params_for(kind), eps_c=20.0)
+    for sigma, curves in ((T, False), (250, True)):
+        assert_block_matches_kernels(params, multi_arm_env(K), sigma, MODELS["saturating"],
+                                     BLOCK_SEEDS, curves)
+
+
+def test_eps_greedy_block_draws_across_chunks():
+    # 40 reps without restarts step 2^14 // 40 = 409 steps a chunk, so the
+    # explore tests and rewards of each stream are drawn over 8 chunks
+    env, _ = ENVS["flip_b3"]
+    assert_block_matches_kernels(params_for("eps_greedy"), env, T, MODELS["linear"],
+                                 tuple(range(40)), True)
+
+
 def test_block_matches_a_ducb_count_underflowing_to_zero():
     # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
     # without a pull: the kernels' ``n > 0.0`` branch.
@@ -403,6 +423,14 @@ LANE_CASES = {
                                          "saturating", False),
     "swucb_window_shorter_than_a_batch": (PolicyParams(kind="swucb", tau=3), 90,
                                           "linear", True),
+    # eps = 100 * 2 / n >= 1 at every local step n < 90: no explore test,
+    # a randrange on every step after the round-robin
+    "eps_greedy_always_explores": (PolicyParams(kind="eps_greedy", eps_c=100.0), 90,
+                                   "saturating", True),
+    # eps = 0.01 * 2 / n: an explore test on every step, and few explore
+    "eps_greedy_rarely_explores": (PolicyParams(kind="eps_greedy", eps_c=0.01), 400,
+                                   "linear", False),
+    "eps_greedy_T_not_a_multiple_of_sigma": (params_for("eps_greedy"), 7, "linear", True),
 }
 
 

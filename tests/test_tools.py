@@ -20,7 +20,7 @@ def load(name, folder=TOOLS):
 
 
 @pytest.mark.parametrize("name, argv, rows", [
-    ("lockstep_crossover", ["--reps", "8,20", "--env", "flip"], 6),
+    ("lockstep_crossover", ["--reps", "8,20", "--env", "flip"], 8),
     ("block_sizes", ["--reps", "4,40", "--sizes", "8,20", "--kinds", "ucb1,ducb"], 4),
     ("kernel_speed", ["--envs", "flip,sinusoidal"], 5),
 ])

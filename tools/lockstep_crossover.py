@@ -1,13 +1,16 @@
 """Re-measure README's lockstep crossover table: kernel time over block time.
 
 For each environment (flip beta=1 tuned as ``fig2``; sinusoidal V_T=24 with
-restarts), UCB-family policy, output (summary or curves) and replication
-count R, it times the same R replications on the scalar kernels
+restarts), policy with a lockstep engine, output (summary or curves) and
+replication count R, it times the same R replications on the scalar kernels
 (``harness._scalar_block``) and as one lockstep block (``lockstep.run_block``),
-in-process, alternating which engine runs first, and prints the ratio of
-their minimum CPU times as a markdown table.  A ratio above 1 means the block
-is faster.  With restarts a block's lanes are its (replication, batch)
-pairs, so R counts replications, not lanes.
+in-process.  Each round times the two engines back to back, alternating
+which runs first, and takes the ratio of their CPU times; each cell of the
+markdown table is the median [first quartile, third quartile] of those
+per-round ratios.  Pairing the runs keeps the host's drift between
+invocations out of the ratio.  A ratio above 1 means the block is faster.
+With restarts a block's lanes are its (replication, batch) pairs, so R
+counts replications, not lanes.
 
     PYTHONPATH=src python3 tools/lockstep_crossover.py [--reps 8,12,16] [--rounds 5]
 """
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import time
+
+import numpy as np
 
 from driftbandits import harness
 from driftbandits.harness import flip_config, preset_policy, sinusoidal_config
@@ -33,8 +38,8 @@ def _cpu(fn) -> float:
     return time.process_time() - start
 
 
-def ratio(config: harness.ExperimentConfig, R: int, curves: bool, rounds: int) -> float:
-    """Minimum kernel CPU time over minimum block CPU time for R replications."""
+def ratios(config: harness.ExperimentConfig, R: int, curves: bool, rounds: int) -> list:
+    """Per round, kernel CPU time over block CPU time for R replications."""
     resolved = config.resolve()
     env = harness.build_env(config.env)
     sigma = resolved.sigma or resolved.T
@@ -48,18 +53,27 @@ def ratio(config: harness.ExperimentConfig, R: int, curves: bool, rounds: int) -
         if run_block(resolved.policy_params, env, config.drift, rngs, sigma, curves) is None:
             raise RuntimeError(f"a step check failed in {config}")
 
-    best = {kernels: float("inf"), block: float("inf")}
+    out = []
     for i in range(rounds):
-        for fn in ((kernels, block) if i % 2 == 0 else (block, kernels)):
-            best[fn] = min(best[fn], _cpu(fn))
-    return best[kernels] / best[block]
+        if i % 2 == 0:
+            kernel_s, block_s = _cpu(kernels), _cpu(block)
+        else:
+            block_s, kernel_s = _cpu(block), _cpu(kernels)
+        out.append(kernel_s / block_s)
+    return out
+
+
+def cell(values: list) -> str:
+    """``median [q1, q3]`` of ``values``."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return f"{median:.2f} [{q1:.2f}, {q3:.2f}]"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", default="8,12,16,20,24,32,48",
                         help="comma-separated replication counts")
-    parser.add_argument("--rounds", type=int, default=5, help="runs of each engine per cell")
+    parser.add_argument("--rounds", type=int, default=5, help="paired runs per cell")
     parser.add_argument("--T", type=int, default=5000, help="horizon")
     parser.add_argument("--env", choices=tuple(ENVS), action="append",
                         help="environment family (default: both)")
@@ -71,7 +85,7 @@ def main(argv=None) -> int:
         for kind in LOCKSTEP_KINDS:
             config = ENVS[env](kind, args.T)
             for curves in (False, True):
-                cells = [f"{ratio(config, R, curves, args.rounds):.2f}" for R in counts]
+                cells = [cell(ratios(config, R, curves, args.rounds)) for R in counts]
                 name = f"{env} {kind} {'curves' if curves else 'summary'}"
                 print(f"| {name} | " + " | ".join(cells) + " |", flush=True)
     return 0
