@@ -11,14 +11,14 @@ true reward from the drift.
 
 ``run_segment`` is the single entry point to this loop; it serves the
 one-step API, full runs, and the restarting scheduler.  It steps the
-built-in policies through three fused kernels, one for the UCB family (UCB1,
-DUCB and SWUCB), one for eps-greedy and one for Thompson.  They inline the
-policy and drift methods and the ``random.Random`` draws they make
-(``randrange``, ``betavariate``, ``gammavariate``), take the run's
-:class:`Totals` and return them updated, and append to a
-:class:`CurveRecorder` only when one is supplied.
+built-in policies through two fused kernels: one for the policies whose
+estimate is a reward sum over a count (UCB1, DUCB, SWUCB and eps-greedy) and
+one for Thompson.  They inline the policy and drift methods and the
+``random.Random`` draws they make (``randrange``, ``betavariate``,
+``gammavariate``), take the run's :class:`Totals` and return them updated,
+and append to a :class:`CurveRecorder` only when one is supplied.
 ``lockstep.run_block`` runs many replications of a UCB-family or
-eps-greedy config at once, bit-identical to their kernels rep by rep.
+eps-greedy config at once, bit-identical to their kernel rep by rep.
 """
 
 from __future__ import annotations
@@ -180,9 +180,12 @@ def run_segment(
 # back on exit, also when a check raises), and one pass over the arms finds
 # both the index argmax (ties to the lowest arm, starting from -inf) and the
 # greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
-# The UCB-family kernel branches on the kind only where ``lockstep.run_block``
-# does: the log term of the index, DUCB's factor 2 on the radius, and the
-# update (DUCB's discounting; SWUCB's window, whose counts are ints).
+# The sample-mean kernel (the kinds of ``lockstep.LOCKSTEP_KINDS``) branches
+# on the kind only where ``lockstep.run_block`` does: at the pick, where
+# eps-greedy scans for the greedy arm alone and then draws its explore test
+# and explored arm; in the log term of the index and DUCB's factor 2 on the
+# radius; and in the update (DUCB's discounting; SWUCB's window, whose counts
+# are ints).  Eps-greedy updates as UCB1 does.
 # The stdlib draws are inlined too, as CPython's ``random.py`` writes them:
 # ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
 # ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
@@ -208,10 +211,10 @@ def _bad_reward(r: float) -> ValueError:
     return ValueError(f"reward must be finite and nonnegative, got {r}")
 
 
-def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
+def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     K = pol.K
     ducb, swucb = type(pol) is DucbPolicy, type(pol) is SwucbPolicy
-    ucb1 = not (ducb or swucb)
+    eps = type(pol) is EpsGreedyPolicy
     n_obs = pol.t
     if ducb:
         gamma, xi = pol.gamma, pol.xi
@@ -224,6 +227,11 @@ def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
         cnt, tot, raw = pol.win_count, pol.win_sum, pol.raw_count
     else:
         cnt, tot = pol.count, pol.total
+    if eps:
+        eps_c = pol.eps_c
+        getrandbits = rng.getrandbits
+        k = K.bit_length()
+        rest = range(1, K)
     # SWUCB's window counts are ints, the other counts floats
     zero, one = (0, 1) if swucb else (0.0, 1.0)
     uniform = rng.random
@@ -243,26 +251,43 @@ def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                 a = g = n_obs
                 chi = delta = 0.0
             else:
-                if ucb1:
-                    c = 2.0 * log(n_obs)
-                elif swucb:
-                    c = xi * log(n_obs if n_obs < tau else tau)
-                else:
-                    c = xi * log(n_disc)
                 n = cnt[0]
                 g, ge = 0, (tot[0] / n if n > zero else 0.0)
-                a, av, ae = 0, -inf, ge
-                for i in arms:
-                    n = cnt[i]
-                    if n > zero:
-                        e = tot[i] / n
-                        v = e + 2.0 * sqrt(c / n) if ducb else e + sqrt(c / n)
+                if eps:
+                    for i in rest:
+                        n = cnt[i]
+                        e = tot[i] / n if n > zero else 0.0
+                        if e > ge:
+                            g, ge = i, e
+                    p = eps_c * K / n_obs
+                    if p >= 1.0 or uniform() < p:
+                        # randrange(K): k-bit draws until one is below K
+                        a = getrandbits(k)
+                        while a >= K:
+                            a = getrandbits(k)
+                        n = cnt[a]
+                        ae = tot[a] / n if n > zero else 0.0
                     else:
-                        e, v = 0.0, inf
-                    if v > av:
-                        a, av, ae = i, v, e
-                    if e > ge:
-                        g, ge = i, e
+                        a, ae = g, ge
+                else:
+                    if ducb:
+                        c = xi * log(n_disc)
+                    elif swucb:
+                        c = xi * log(n_obs if n_obs < tau else tau)
+                    else:
+                        c = 2.0 * log(n_obs)
+                    a, av, ae = 0, -inf, ge
+                    for i in arms:
+                        n = cnt[i]
+                        if n > zero:
+                            e = tot[i] / n
+                            v = e + 2.0 * sqrt(c / n) if ducb else e + sqrt(c / n)
+                        else:
+                            e, v = 0.0, inf
+                        if v > av:
+                            a, av, ae = i, v, e
+                        if e > ge:
+                            g, ge = i, e
                 if a != g:
                     chi = ge - ae
                     if chi != chi or chi < 0.0:
@@ -275,7 +300,7 @@ def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
             r = x + delta
             if not 0.0 <= r < inf:
                 raise _bad_reward(r)
-            if not ucb1:
+            if ducb or swucb:
                 if swucb:
                     if len(window) == tau:
                         old_i, old_r = pop()
@@ -310,81 +335,6 @@ def _ucb_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
         pol.t = n_obs
         if ducb:
             pol.disc_total = n_disc
-    return Totals(pseudo, realized, comp_sum, reward_sum)
-
-
-def _eps_greedy_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
-    K = pol.K
-    eps_c = pol.eps_c
-    count, total = pol.count, pol.total
-    n_obs = pol.t
-    uniform = rng.random
-    getrandbits = rng.getrandbits
-    k = K.bit_length()
-    arms = range(1, K)
-    pseudo, realized, comp_sum, reward_sum = acc
-    t = t_start - 1
-    if curves is not None:
-        app_p = curves.pseudo_regret.append
-        app_r = curves.realized_regret.append
-        app_c = curves.compensation.append
-        app_w = curves.true_reward.append
-        records = curves.steps
-    try:
-        for row, mu_star in steps:
-            if n_obs < K:
-                a = g = n_obs + 1
-                chi = delta = 0.0
-            else:
-                eps = eps_c * K / n_obs
-                n = count[0]
-                g, ge = 1, (total[0] / n if n > 0.0 else 0.0)
-                for i in arms:
-                    n = count[i]
-                    e = total[i] / n if n > 0.0 else 0.0
-                    if e > ge:
-                        g, ge = i + 1, e
-                if eps >= 1.0 or uniform() < eps:
-                    # randrange(K): k-bit draws until one is below K
-                    a = getrandbits(k)
-                    while a >= K:
-                        a = getrandbits(k)
-                    a += 1
-                else:
-                    a = g
-                if a != g:
-                    n = count[a - 1]
-                    chi = ge - (total[a - 1] / n if n > 0.0 else 0.0)
-                    if chi != chi or chi < 0.0:
-                        raise _bad_compensation(chi)
-                    delta = l * (chi if chi < cap else cap)
-                else:
-                    chi = delta = 0.0
-            mu_a = row[a - 1]
-            x = 1.0 if uniform() < mu_a else 0.0
-            r = x + delta
-            if not 0.0 <= r < inf:
-                raise _bad_reward(r)
-            count[a - 1] += 1.0
-            total[a - 1] += r
-            n_obs += 1
-
-            pseudo += mu_star - mu_a
-            realized += mu_star - x
-            comp_sum += chi
-            reward_sum += x
-            if curves is not None:
-                app_p(pseudo)
-                app_r(realized)
-                app_c(comp_sum)
-                app_w(reward_sum)
-                if records is not None:
-                    t += 1
-                    records.append(StepOutcome(
-                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
-                    ))
-    finally:
-        pol.t = n_obs
     return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
@@ -511,10 +461,10 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
 
 
 _KERNELS = {
-    Ucb1Policy: _ucb_segment,
-    DucbPolicy: _ucb_segment,
-    SwucbPolicy: _ucb_segment,
-    EpsGreedyPolicy: _eps_greedy_segment,
+    Ucb1Policy: _mean_segment,
+    DucbPolicy: _mean_segment,
+    SwucbPolicy: _mean_segment,
+    EpsGreedyPolicy: _mean_segment,
     ThompsonPolicy: _thompson_segment,
 }
 

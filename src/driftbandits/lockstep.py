@@ -1,8 +1,7 @@
 """The lockstep block engine: many replications of one UCB1, DUCB, SWUCB or
-eps-greedy config at once, bit-identical rep by rep to the UCB-family and
-eps-greedy step kernels of ``incentive``.  Of its three kernels, only
-Thompson's has no lockstep engine: how many words its step draws depends on
-its posterior.
+eps-greedy config at once, bit-identical rep by rep to the sample-mean step
+kernel of ``incentive``.  Of its two kernels, only Thompson's has no lockstep
+engine: how many words its step draws depends on its posterior.
 
 ``run_block`` keeps each statistic as an array with one row per lane and
 advances every lane with one Python loop over the steps.  A lane is a
@@ -52,8 +51,8 @@ __all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb", "eps_greedy")
 # A block runs in lockstep from LOCKSTEP_MIN lanes, an eps-greedy block from
 # _EPS_GREEDY_MIN (README "Block sizes": the crossovers, measured on 2 cores;
-# eps-greedy's kernel is the cheaper one to beat), while its lanes store at
-# most LANE_BYTES.
+# an eps-greedy step is the cheaper one to beat on the kernel), while its
+# lanes store at most LANE_BYTES.
 LOCKSTEP_MIN = 20
 _EPS_GREEDY_MIN = 32
 LANE_BYTES = 8 * 2**20

@@ -230,15 +230,32 @@ def test_kernel_matches_reference_on_more_arms(kind, K):
     assert_kernel_matches_reference(params, multi_arm_env(K), 250, MODELS["saturating"], 29)
 
 
-@pytest.mark.parametrize("params, empty", [
+def eps_greedy_edge(eps_c: float, K: int, eps: float):
+    """An eps-greedy case at ``eps_c`` on K arms, reaching ``eps_c * K / n == eps``."""
+    return PolicyParams(kind="eps_greedy", eps_c=eps_c), K, lambda p: p.eps_c * p.K / p.t == eps
+
+
+# (params, K, a predicate on the policy that some step reaches)
+EDGES = {
     # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
     # without a pull
-    (PolicyParams(kind="ducb", gamma=1e-200), lambda p: 0.0 in p.disc_count),
-    (PolicyParams(kind="swucb", tau=3), lambda p: 0 in p.win_count),
-], ids=["ducb_count_underflows_to_zero", "swucb_arm_leaves_the_window"])
-def test_kernel_matches_reference_on_an_empty_ucb_arm(params, empty):
-    env, _ = ENVS["flip_b3"]
-    assert any(states_seen(params, env, 17, empty))
+    "ducb_count_underflows_to_zero": (PolicyParams(kind="ducb", gamma=1e-200), 2,
+                                      lambda p: 0.0 in p.disc_count),
+    "swucb_arm_leaves_the_window": (PolicyParams(kind="swucb", tau=3), 2,
+                                    lambda p: 0 in p.win_count),
+    # eps_c * K overflows to inf: every step after the round-robin explores,
+    # with no explore draw
+    **{f"eps_greedy_eps_inf-K{K}": eps_greedy_edge(1e308, K, math.inf) for K in (2, 3)},
+    # eps rounds to 0.0: the explore uniform is drawn and never passes
+    **{f"eps_greedy_eps_zero-K{K}": eps_greedy_edge(5e-324, K, 0.0) for K in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("edge", list(EDGES))
+def test_kernel_matches_reference_at_an_edge(edge):
+    params, K, reached = EDGES[edge]
+    env = ENVS["flip_b3"][0] if K == 2 else multi_arm_env(K)
+    assert any(states_seen(params, env, 17, reached))
     assert_kernel_matches_reference(params, env, T, MODELS["linear"], 17)
 
 

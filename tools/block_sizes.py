@@ -4,10 +4,15 @@ Split size: for each UCB-family policy and replication count N, the wall
 seconds of N summary-only replications (flip beta=1, tuned as ``fig2``) run
 in-process as ``harness._plan`` cuts them for one worker, against the same
 reps cut into 2 near-equal blocks on a pool of 2 processes, pool start-up
-included.  Each cell prints ``in-process/pool``, minimum over the rounds.
+included.  Each round times the two back to back, alternating which runs
+first, and takes the ratio in-process/pool; each cell prints the median
+[first quartile, third quartile] of those per-round ratios.  A ratio above
+1 means the pool is faster.
 
 Largest block: the serial CPU milliseconds per replication of one lockstep
-block (``lockstep.run_block``) of R replications, minimum over the rounds.
+block (``lockstep.run_block``) of R replications.  Each round runs every R
+once, in reverse order on odd rounds; each cell prints the median [first
+quartile, third quartile] over the rounds.
 
     PYTHONPATH=src python3 tools/block_sizes.py [--reps 40,64,128] [--sizes 64,128,256]
 """
@@ -20,19 +25,18 @@ import time
 from driftbandits import harness
 from driftbandits.harness import flip_config, preset_policy
 from driftbandits.lockstep import capacity, run_block
+from lockstep_crossover import spread
 
 
-def _best(fn, rounds: int, clock=time.perf_counter) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = clock()
-        fn()
-        best = min(best, clock() - start)
-    return best
+def _seconds(fn, clock=time.perf_counter) -> float:
+    start = clock()
+    fn()
+    return clock() - start
 
 
-def split_seconds(config: harness.ExperimentConfig, rounds: int) -> tuple[float, float]:
-    """Wall seconds of ``config`` in-process and as 2 blocks on a pool of 2."""
+def split_ratios(config: harness.ExperimentConfig, rounds: int) -> list:
+    """Per round, the wall seconds of ``config`` in-process over those as 2
+    blocks on a pool of 2."""
     resolved = config.resolve()
     least, most = capacity(resolved.policy_params, resolved.T, resolved.K,
                            resolved.sigma or resolved.T)
@@ -44,11 +48,19 @@ def split_seconds(config: harness.ExperimentConfig, rounds: int) -> tuple[float,
             pass
 
     alone = harness._plan(config, resolved, 1, False)
-    return (_best(lambda: run(alone, 1), rounds), _best(lambda: run(halves, 2), rounds))
+    out = []
+    for i in range(rounds):
+        if i % 2 == 0:
+            alone_s, pool_s = _seconds(lambda: run(alone, 1)), _seconds(lambda: run(halves, 2))
+        else:
+            pool_s, alone_s = _seconds(lambda: run(halves, 2)), _seconds(lambda: run(alone, 1))
+        out.append(alone_s / pool_s)
+    return out
 
 
-def rep_ms(config: harness.ExperimentConfig, R: int, rounds: int) -> float:
-    """CPU milliseconds per replication of one lockstep block of R replications."""
+def rep_ms(config: harness.ExperimentConfig, R: int):
+    """A function that runs one lockstep block of R replications and returns
+    its CPU milliseconds per replication."""
     resolved = config.resolve()
     env = harness.build_env(config.env)
 
@@ -58,7 +70,7 @@ def rep_ms(config: harness.ExperimentConfig, R: int, rounds: int) -> float:
                      resolved.sigma or resolved.T) is None:
             raise RuntimeError(f"a step check failed in {config}")
 
-    return _best(block, rounds, time.process_time) / R * 1e3
+    return lambda: _seconds(block, time.process_time) / R * 1e3
 
 
 def main(argv=None) -> int:
@@ -68,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", default="64,100,128,150,256",
                         help="comma-separated block sizes R of the per-rep cost table")
     parser.add_argument("--kinds", default="ucb1,ducb,swucb", help="comma-separated policies")
-    parser.add_argument("--rounds", type=int, default=3, help="runs of each cell")
+    parser.add_argument("--rounds", type=int, default=5, help="runs of each cell")
     parser.add_argument("--T", type=int, default=5000, help="horizon")
     args = parser.parse_args(argv)
     counts = [int(n) for n in args.reps.split(",")]
@@ -76,20 +88,25 @@ def main(argv=None) -> int:
     kinds = args.kinds.split(",")
     if min(counts) < 2:
         parser.error("--reps: every N must be at least 2, to split into 2 blocks")
-    print("| policy, in-process/pool s | " + " | ".join(f"N={n}" for n in counts) + " |")
+    print("| policy, in-process/pool | " + " | ".join(f"N={n}" for n in counts) + " |")
     print("|---" * (len(counts) + 1) + "|")
     for kind in kinds:
         cells = []
         for n in counts:
             config = flip_config(1, preset_policy(kind), T=args.T, reps=n)
-            cells.append("%.3f/%.3f" % split_seconds(config, args.rounds))
+            cells.append(spread(split_ratios(config, args.rounds)))
         print(f"| {kind} | " + " | ".join(cells) + " |", flush=True)
     print()
     print("| policy, ms per rep | " + " | ".join(f"R={r}" for r in sizes) + " |")
     print("|---" * (len(sizes) + 1) + "|")
     for kind in kinds:
         config = flip_config(1, preset_policy(kind), T=args.T)
-        cells = [f"{rep_ms(config, R, args.rounds):.2f}" for R in sizes]
+        blocks = {R: rep_ms(config, R) for R in sizes}
+        ms = {R: [] for R in sizes}
+        for i in range(args.rounds):
+            for R in (sizes if i % 2 == 0 else reversed(sizes)):
+                ms[R].append(blocks[R]())
+        cells = [spread(ms[R]) for R in sizes]
         print(f"| {kind} | " + " | ".join(cells) + " |", flush=True)
     return 0
 

@@ -2,7 +2,8 @@
 
 For each policy kind and environment it runs one replication through
 ``restart.run_restarting``, one ``run_segment`` call per restart batch, and
-prints the minimum CPU time per step over the rounds as a markdown table.
+prints the CPU time per step as a markdown table, each cell the median
+[first quartile, third quartile] over the rounds.
 The environments are flip beta=3 without restarts, with every kind tuned as
 ``fig2``, and sinusoidal V_T=24 restarting as table 3 does, with table 3's
 policy and lam for UCB1, eps-greedy and Thompson, and lam = 1 for DUCB and
@@ -21,6 +22,7 @@ from driftbandits.cli import TABLE3_PRESETS
 from driftbandits.harness import flip_config, preset_policy, sinusoidal_config
 from driftbandits.policy import POLICY_KINDS
 from driftbandits.restart import run_restarting
+from lockstep_crossover import spread
 
 TABLE3 = {pol.kind: (pol, lam) for pol, lam in TABLE3_PRESETS.values()}
 
@@ -65,14 +67,14 @@ def main(argv=None) -> int:
         if env not in ENVS:
             parser.error(f"--envs: unknown environment {env!r}")
     cells = {(kind, env): cell(ENVS[env][1](kind, args.T)) for kind in kinds for env in envs}
-    best = dict.fromkeys(cells, float("inf"))
+    times = {key: [] for key in cells}
     for i in range(args.rounds):
         for key in (list(cells) if i % 2 == 0 else reversed(list(cells))):
-            best[key] = min(best[key], cells[key]())
+            times[key].append(cells[key]() / args.T * 1e6)
     print("| policy, us/step | " + " | ".join(ENVS[env][0] for env in envs) + " |")
     print("|---" * (len(envs) + 1) + "|")
     for kind in kinds:
-        row = [f"{best[kind, env] / args.T * 1e6:.3f}" for env in envs]
+        row = [spread(times[kind, env], 3) for env in envs]
         print(f"| {kind} | " + " | ".join(row) + " |")
     return 0
 

@@ -63,10 +63,10 @@ def ratios(config: harness.ExperimentConfig, R: int, curves: bool, rounds: int) 
     return out
 
 
-def cell(values: list) -> str:
+def spread(values: list, digits: int = 2) -> str:
     """``median [q1, q3]`` of ``values``."""
     q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return f"{median:.2f} [{q1:.2f}, {q3:.2f}]"
+    return f"{median:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
 def main(argv=None) -> int:
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         for kind in LOCKSTEP_KINDS:
             config = ENVS[env](kind, args.T)
             for curves in (False, True):
-                cells = [cell(ratios(config, R, curves, args.rounds)) for R in counts]
+                cells = [spread(ratios(config, R, curves, args.rounds)) for R in counts]
                 name = f"{env} {kind} {'curves' if curves else 'summary'}"
                 print(f"| {name} | " + " | ".join(cells) + " |", flush=True)
     return 0
