@@ -749,9 +749,9 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run all replications and aggregate: ``run_experiments`` on one config.
 
-    When ``config.trace`` is on, replications run serially in-process, one
-    1-rep block at a time, and stream rows to the trace CSV at
-    ``trace_path``; a traced config without a ``trace_path`` is refused.
+    When ``config.trace`` is on, replications run serially in-process as one
+    scalar block and stream rows to the trace CSV at ``trace_path``; a
+    traced config without a ``trace_path`` is refused.
     """
     if not config.trace:
         (summary,) = run_experiments([config], workers, collect_curves)
@@ -760,8 +760,9 @@ def run_experiment(
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER.split(","))
-        blocks = (_scalar_block(config, range(rep, rep + 1), collect_curves, writer)
-                  for rep in range(config.reps))
+        # one block, made inside _fold, which refuses an overflow in its curves
+        blocks = (_scalar_block(config, reps, collect_curves, writer)
+                  for reps in [range(config.reps)])
         return _fold(config, resolved, blocks, collect_curves)
 
 

@@ -483,8 +483,7 @@ def run_incentivized(
     policy: Policy,
     model: DriftModel,
     rng: Random,
-    totals: Totals = Totals(),
     curves: CurveRecorder | None = None,
 ) -> Totals:
-    """Full-horizon incentivized run (no restarts); returns the updated totals."""
-    return run_segment(policy, env, 1, env.schedule.T, model, rng, totals, curves)
+    """Full-horizon incentivized run (no restarts); returns its totals."""
+    return run_segment(policy, env, 1, env.schedule.T, model, rng, curves=curves)

@@ -79,16 +79,16 @@ def run_restarting(
     policy_params: PolicyParams,
     model: DriftModel,
     rng: Random,
-    totals: Totals = Totals(),
     curves: CurveRecorder | None = None,
 ) -> Totals:
     """Incentivized run with a policy restart every ``sigma`` steps.
 
-    Returns ``totals`` plus the sums over the run.  With ``sigma >= T``
-    there is a single batch and the run is identical, draw for draw, to the
-    plain incentivized loop.  The step records of a
-    ``CurveRecorder(steps=True)`` carry the batch index in ``batch``.
+    Returns the sums over the run.  With ``sigma >= T`` there is a single
+    batch and the run is identical, draw for draw, to the plain incentivized
+    loop.  The step records of a ``CurveRecorder(steps=True)`` carry the
+    batch index in ``batch``.
     """
+    totals = Totals()
     for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
         policy = make_policy(policy_params, env.schedule.K)
         totals = run_segment(policy, env, start, stop, model, rng, totals, curves, j)

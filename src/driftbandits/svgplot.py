@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT, _XLABEL = 640, 420, "t"
 
 
-def render_lines_svg(
-    series: dict,
-    path,
-    title: str = "",
-    xlabel: str = "t",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
-) -> None:
+def render_lines_svg(series: dict, path, title: str = "", ylabel: str = "") -> None:
     """Write an SVG polyline chart; ``series`` maps label -> (xs, ys)."""
-    margin = 56
+    width, height, margin = _WIDTH, _HEIGHT, 56
     pw, ph = width - 2 * margin, height - 2 * margin
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
@@ -47,7 +40,7 @@ def render_lines_svg(
             f'font-size="14">{title}</text>'
         )
     out.append(
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">{_XLABEL}</text>'
     )
     if ylabel:
         out.append(

@@ -727,14 +727,16 @@ class TestSharedPool:
         assert block.start == 2
         assert block.curves.tolist() == rep_order_fold(kernel).tolist()
 
-    def test_traced_blocks_fold_one_rep_each(self):
+    def test_traced_block_folds_in_rep_order(self):
         config = small_config(policy=preset_policy("swucb"), reps=3, trace=True)
-        writer = csv.writer(io.StringIO())
-        for rep in range(config.reps):
-            block = harness._scalar_block(config, range(rep, rep + 1), True, writer)
-            curves = run_replication(config, rep, collect_curves=True).curves
-            one = np.array([curves[name] for name in harness.METRIC_NAMES])
-            assert block.curves.tolist() == rep_order_fold([one]).tolist()
+        rows = io.StringIO()
+        block = harness._scalar_block(config, range(config.reps), True, csv.writer(rows))
+        kernel = [run_replication(config, rep, collect_curves=True).curves
+                  for rep in range(config.reps)]
+        assert block.curves.tolist() == rep_order_fold(
+            [np.array([c[name] for name in harness.METRIC_NAMES]) for c in kernel]).tolist()
+        reps = [int(row[0]) for row in csv.reader(io.StringIO(rows.getvalue()))]
+        assert reps == [rep for rep in range(config.reps) for _ in range(config.env.T)]
 
     @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb"])
     def test_curve_blocks_depend_on_reps_alone(self, kind, monkeypatch):

@@ -1,5 +1,5 @@
-"""The measuring scripts under tools/ still run against the engines they time,
-and perfbench's tracer still finds the names it patches."""
+"""tools/engine_speed.py still runs against the engines it times, and
+perfbench's tracer still finds the names it patches."""
 
 import importlib.util
 from pathlib import Path
@@ -19,18 +19,32 @@ def load(name, folder=TOOLS):
     return module
 
 
-@pytest.mark.parametrize("name, argv, rows", [
-    ("lockstep_crossover", ["--reps", "8,20", "--env", "flip"], 8),
-    ("block_sizes", ["--reps", "4,40", "--sizes", "8,20", "--kinds", "ucb1,ducb"], 4),
-    ("kernel_speed", ["--envs", "flip,sinusoidal"], 5),
-])
-def test_tool_prints_its_tables(name, argv, rows, capsys):
-    assert load(name).main([*argv, "--T", "200", "--rounds", "1"]) == 0
-    # a header row names its columns "R=..." or "N=..."
-    body = [ln for ln in capsys.readouterr().out.splitlines()
-            if ln.startswith("| ") and "=" not in ln]
-    assert len(body) == rows
-    assert all(ln.count("|") == len(argv[1].split(",")) + 2 for ln in body)
+@pytest.mark.parametrize("argv, rows, columns", [
+    (["crossover", "--reps", "8,20", "--envs", "flip_b1"], 8, 2),
+    (["split", "--reps", "4,40", "--kinds", "ucb1,ducb"], 2, 2),
+    (["block", "--reps", "8,20", "--kinds", "ucb1,ducb"], 2, 2),
+    (["kernel", "--envs", "flip_b3,table3_v24"], 5, 2),
+], ids=["crossover", "split", "block", "kernel"])
+def test_engine_speed_prints_its_tables(argv, rows, columns, capsys):
+    assert load("engine_speed").main([*argv, "--T", "200", "--rounds", "1"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("| ")]
+    assert len(lines) == 1 + rows  # the header and one line per row
+    assert all(ln.count("|") == columns + 2 for ln in lines)
+
+
+def test_rounds_alternate_the_first_cell_and_scale_each_sample_by_its_own_factor():
+    ran, taken, factors = [], [], iter([1.0, 2.0, 3.0, 5.0, 7.0, 11.0])
+
+    class Host:
+        def timed(self, work):
+            taken.append(work())
+            return taken[-1], next(factors)
+
+    cells = [lambda: ran.append("a"), lambda: ran.append("b")]
+    samples = load("engine_speed").rounds(cells, 3, Host())
+    assert ran == ["a", "b", "b", "a", "a", "b"]
+    assert samples == [[taken[0] * 1.0, taken[3] * 5.0, taken[4] * 7.0],
+                       [taken[1] * 2.0, taken[2] * 3.0, taken[5] * 11.0]]
 
 
 @pytest.mark.parametrize("restarts", [False, True], ids=["no_restarts", "restarts"])
