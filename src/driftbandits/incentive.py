@@ -24,6 +24,7 @@ eps-greedy config at once, bit-identical to their kernel rep by rep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import exp, inf, log, sqrt
 from random import LOG4, SG_MAGICCONST, Random
 from typing import NamedTuple
@@ -167,7 +168,64 @@ def run_segment(
     rows, best = sched.rows, sched.best_mean
     if t_start > 1 or t_end < sched.T:  # a whole-horizon run zips the views uncopied
         rows, best = rows[t_start - 1:t_end], best[t_start - 1:t_end]
-    return kernel(policy, zip(rows, best), t_start, model.l, cap, rng, totals, curves, batch)
+    if kernel is _thompson_segment:
+        steps = zip(rows, best)
+    elif type(policy) is EpsGreedyPolicy:
+        steps = zip(rows, best, repeat(None))
+    else:  # the UCB family: each step's log term, from the table of its counts
+        xi, gamma, tau = (getattr(policy, name, None) for name in ("xi", "gamma", "tau"))
+        n, total = policy.t, getattr(policy, "disc_total", 0.0)
+        m = t_end - t_start + 1
+        steps = zip(rows, best, _fresh_log_terms(policy.kind, xi, gamma, tau, m)
+                    if n == 0 and total == 0.0 else
+                    _log_terms(policy.kind, xi, gamma, tau, n, total, m))
+    return kernel(policy, steps, t_start, model.l, cap, rng, totals, curves, batch)
+
+
+# The log term of the UCB-family index (UCB1's ``2 ln n``, DUCB's ``xi ln
+# n(gamma)``, SWUCB's ``xi ln min(n, tau)``) depends only on the count n and
+# the policy's constants, so it is a table over the counts, computed with
+# the float expressions of the policies' ``radius``.  A process holds one
+# fresh-policy table (count 0, DUCB total 0.0), as long as the longest
+# segment it has served, so every replication and restart batch of a config
+# shares it, as does ``lockstep.run_block``.  Any other state gets its
+# segment's own.
+
+
+def _log_terms(kind: str, xi, gamma, tau, n: int, total: float, steps: int) -> list:
+    """The log term at each of the ``steps`` counts from ``n``, DUCB's
+    discounted count running on from ``total``.  Where the policy's ``log``
+    raises (at count 0, or a DUCB total of 0 or less) the entry is ``-inf``,
+    whose square root raises the same ``ValueError`` at the first arm with
+    pulls."""
+    if kind == "ducb":
+        out = []
+        for _ in range(steps):
+            out.append(-inf if total <= 0.0 else xi * log(total))
+            total = gamma * total + 1.0
+        return out
+    if kind == "swucb":
+        out = []
+        for k in range(n, n + steps):
+            if k >= tau:  # the window is full from here on
+                return out + [xi * log(tau)] * (n + steps - k)
+            out.append(xi * log(k) if k else -inf)
+        return out
+    return [2.0 * log(k) if k else -inf for k in range(n, n + steps)]
+
+
+_fresh = None, None  # (key, table) of the one fresh-policy table a process holds
+
+
+def _fresh_log_terms(kind: str, xi, gamma, tau, steps: int) -> list:
+    """``_log_terms`` of a fresh policy over ``steps`` counts or more; the
+    key holds only the constants the kind reads."""
+    global _fresh
+    key = (kind, *((xi, gamma) if kind == "ducb" else (xi, tau) if kind == "swucb" else ()))
+    if _fresh[0] != key or len(_fresh[1]) < steps:
+        _fresh = None, None  # drop the old table before building the next
+        _fresh = key, _log_terms(kind, xi, gamma, tau, 0, 0.0, steps)
+    return _fresh[1]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +241,10 @@ def run_segment(
 # The sample-mean kernel (the kinds of ``lockstep.LOCKSTEP_KINDS``) branches
 # on the kind only where ``lockstep.run_block`` does: at the pick, where
 # eps-greedy scans for the greedy arm alone and then draws its explore test
-# and explored arm; in the log term of the index and DUCB's factor 2 on the
-# radius; and in the update (DUCB's discounting; SWUCB's window, whose counts
-# are ints).  Eps-greedy updates as UCB1 does.
+# and explored arm; in DUCB's factor 2 on the radius; and in the update
+# (DUCB's discounting; SWUCB's window, whose counts are ints).  The log term
+# of the index comes with each step, from the table above, which
+# ``lockstep.run_block`` reads too.  Eps-greedy updates as UCB1 does.
 # The stdlib draws are inlined too, as CPython's ``random.py`` writes them:
 # ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
 # ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
@@ -199,8 +258,10 @@ def run_segment(
 #
 # Signature: (policy, steps, t_start, l, cap, rng, acc, curves, batch), where
 # ``steps`` yields each step's ``(means row, best mean)`` from step
-# ``t_start`` on and ``acc`` is the run's :class:`Totals` so far; returns the
-# updated :class:`Totals`.  The step number is counted only for the records.
+# ``t_start`` on, to the sample-mean kernel with the step's log term (``None``
+# for eps-greedy) as a third item, and ``acc`` is the run's :class:`Totals`
+# so far; returns the updated :class:`Totals`.  The step number is counted
+# only for the records.
 
 
 def _bad_compensation(chi: float) -> ValueError:
@@ -217,11 +278,11 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     eps = type(pol) is EpsGreedyPolicy
     n_obs = pol.t
     if ducb:
-        gamma, xi = pol.gamma, pol.xi
+        gamma = pol.gamma
         cnt, tot, raw = pol.disc_count, pol.disc_sum, pol.raw_count
         n_disc = pol.disc_total
     elif swucb:
-        tau, xi = pol.tau, pol.xi
+        tau = pol.tau
         window = pol.window
         push, pop = window.append, window.popleft
         cnt, tot, raw = pol.win_count, pol.win_sum, pol.raw_count
@@ -246,7 +307,7 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
         records = curves.steps
     try:
         # the arms a (recommended) and g (greedy) are 0-based until a record
-        for row, mu_star in steps:
+        for row, mu_star, c in steps:
             if n_obs < K:
                 a = g = n_obs
                 chi = delta = 0.0
@@ -270,12 +331,6 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                     else:
                         a, ae = g, ge
                 else:
-                    if ducb:
-                        c = xi * log(n_disc)
-                    elif swucb:
-                        c = xi * log(n_obs if n_obs < tau else tau)
-                    else:
-                        c = 2.0 * log(n_obs)
                     a, av, ae = 0, -inf, ge
                     for i in arms:
                         n = cnt[i]

@@ -21,8 +21,10 @@ lanes are the reps.
   ``random.Random`` in the kernel's order, and the step takes the greedy
   arm (``argmax``, the first maximum) wherever it does not explore.
 * Every lane has taken the same number of local steps, so the one
-  transcendental term, the log of that count, stays one scalar ``math.log``
-  per step (numpy's ``log`` is not libm's).
+  transcendental term, the index's log term at that count, is one scalar
+  per step, read from the kernel's fresh-policy table
+  (``incentive._fresh_log_terms``, built with ``math.log``: numpy's ``log``
+  is not libm's).
 * The rest is + - * / and sqrt, which numpy rounds as Python does, and
   ``argmax`` takes the first maximum, as the kernel's strict ``>`` does.
 * A lane stores only its arm and its compensation per step; a second pass
@@ -40,11 +42,11 @@ block on the kernel, which raises or finishes exactly as always.
 
 from __future__ import annotations
 
-from math import inf, log
+from math import inf
 
 import numpy as np
 
-from .incentive import DriftModel
+from .incentive import DriftModel, _fresh_log_terms
 
 __all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 
@@ -203,7 +205,9 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     n = np.zeros((L, K))  # pull count, discounted count or window count
     s = np.zeros((L, K))  # the matching reward sum
     nf, sf = n.reshape(-1), s.reshape(-1)
-    n_obs, n_disc = 0, 0.0
+    n_obs = 0
+    if not eps:
+        logs = _fresh_log_terms(kind, xi, gamma, tau, min(sigma, T))  # a batch's counts
     # DUCB: a count decayed since the batch's first step; while it is above
     # 0, no discounted count has underflowed to 0.
     least = 1.0
@@ -238,18 +242,13 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                         if explores[j]:
                             np.copyto(a, lane_explore[j], where=lane_explore[j] < K)
                     else:
-                        if kind == "ucb1":
-                            c = 2.0 * log(n_obs)
-                        elif kind == "ducb":
-                            c = xi * log(n_disc)
-                        else:
-                            c = xi * log(n_obs if n_obs < tau else tau)
-                        v = c / n
+                        v = logs[n_obs] / n
                         np.sqrt(v, out=v)
                         if kind == "ducb":
                             v *= 2.0
                         v += e
-                        if (kind == "swucb" or least == 0.0) and not n.all():
+                        # an arm empties only as pulls leave the window or counts underflow
+                        if (ring or least == 0.0) and np.count_nonzero(nf) < nf.size:
                             empty = n == 0.0
                             e[empty] = 0.0
                             v[empty] = inf
@@ -272,7 +271,6 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                 if kind == "ducb":
                     n *= gamma
                     s *= gamma
-                    n_disc = gamma * n_disc + 1.0
                     least *= gamma
                 elif ring:
                     h = n_obs % tau

@@ -788,7 +788,9 @@ class TestMemoryLimit:
     @given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from(["flip", "sinusoidal"]))
     @settings(max_examples=200, deadline=None)
     def test_huge_sizes_are_refused_before_any_allocation(self, T, reps, kind):
-        steps, totals = harness.STEP_BYTES[kind] * T, harness.REP_BYTES * reps
+        # small_config runs DUCB, which holds a log-term table too
+        steps = (harness.STEP_BYTES[kind] + harness.TABLE_BYTES) * T
+        totals = harness.REP_BYTES * reps
         assume(steps + totals > harness.MEMORY_LIMIT)
         config = small_config(env=EnvSpec(kind=kind, T=T), reps=reps)
         tracemalloc.start()
@@ -803,7 +805,8 @@ class TestMemoryLimit:
 
     def test_limit_is_inclusive(self, monkeypatch):
         config = small_config()  # T = 300, 6 reps of DUCB, which has a lockstep engine
-        need = harness.STEP_BYTES["flip"] * 300 + harness.REP_BYTES * 6 + LANE_BYTES
+        need = ((harness.STEP_BYTES["flip"] + harness.TABLE_BYTES) * 300
+                + harness.REP_BYTES * 6 + LANE_BYTES)
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need)
         config.resolve()
         monkeypatch.setattr(harness, "MEMORY_LIMIT", need - 1)
@@ -833,6 +836,20 @@ class TestMemoryLimit:
         with pytest.raises(ConfigError, match="env.T"):
             harness._check_memory(dataclasses.replace(
                 flip, env=EnvSpec(kind="sinusoidal", T=sin_T + 1)))
+
+    def test_ucb_family_is_charged_its_log_table(self):
+        step = harness.STEP_BYTES["flip"] + harness.TABLE_BYTES
+        T = (harness.MEMORY_LIMIT - harness.REP_BYTES - LANE_BYTES) // step
+        for kind in ("ucb1", "ducb", "swucb", "eps_greedy"):
+            policy = PolicyParams(kind=kind, gamma=0.99, tau=100)
+            harness._check_memory(small_config(env=EnvSpec(kind="flip", T=T), policy=policy,
+                                               reps=1))
+            longer = small_config(env=EnvSpec(kind="flip", T=T + 1), policy=policy, reps=1)
+            if kind == "eps_greedy":  # no index, no table
+                harness._check_memory(longer)
+            else:
+                with pytest.raises(ConfigError, match="env.T"):
+                    harness._check_memory(longer)
 
     def test_every_preset_fits(self):
         from driftbandits.cli import REPRODUCE_PRESETS

@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import driftbandits.incentive as incentive
 from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
@@ -114,6 +115,70 @@ def test_kernel_resumes_a_reference_run(kind):
             (totals, curves.compensation, policy.state_json(), rng.random())
         )
     assert results[0] == results[1]
+
+
+def ducb_in_state(t, total):
+    """The DUCB state of tests/test_policy.py at gamma = 0.5 and count ``t``,
+    with a hand-set ``disc_total`` (at t = 4 the gamma-recursion gives 1.875)."""
+    policy = make_policy(PolicyParams(kind="ducb", gamma=0.5), 2)
+    if t:
+        policy.disc_count = [1.75, 1.0]
+        policy.disc_sum = [1.25, 0.1]
+        policy.raw_count = [3, 1]
+    policy.disc_total = total
+    policy.t = t
+    return policy
+
+
+def ucb1_pinned():
+    """A two-arm UCB1 at t = 2 * 10**12 whose index keeps to arm 1, as
+    tests/test_harness.py's ``ucb1_pinned_to(1)``."""
+    policy = make_policy(PolicyParams(kind="ucb1"), 2)
+    policy.count = [1e12, 1e12]
+    policy.total = [1e12, 0.0]
+    policy.t = 2 * 10**12
+    return policy
+
+
+HAND_SET = {
+    "ducb_off_the_recursion": lambda: ducb_in_state(4, 2.75),
+    "ducb_fresh_count_with_a_total": lambda: ducb_in_state(0, 1e6),
+    # the policy's log(-1.0) raises at the first index; the kernel raises too
+    "ducb_negative_total": lambda: ducb_in_state(4, -1.0),
+    "ucb1_at_t_2e12": ucb1_pinned,
+}
+
+
+@pytest.mark.parametrize("state", list(HAND_SET))
+def test_kernel_matches_reference_from_a_hand_set_state(state):
+    env, _ = ENVS["flip_b3"]
+    outcomes = []
+    for segment in (run_segment, reference_segment):
+        policy = HAND_SET[state]()
+        rng = random.Random(5)
+        curves = CurveRecorder(steps=True)
+        try:
+            out = segment(policy, env, 1, T, MODELS["linear"], rng, Totals(), curves)
+        except ValueError as exc:
+            out = str(exc)
+        outcomes.append((out, curves.steps, policy.state_json(),
+                         getattr(policy, "disc_total", None), rng.random()))
+    assert outcomes[0] == outcomes[1]
+    assert (type(outcomes[0][0]) is str) == (state == "ducb_negative_total")
+
+
+def test_fresh_policies_share_one_log_table():
+    env, sigma = ENVS["sinusoidal_restarts"]
+    params = params_for("ducb")
+    run_block(params, env, MODELS["linear"], [random.Random(1)], T)
+    held = incentive._fresh
+    assert held[1] == incentive._log_terms("ducb", params.xi, params.gamma, None, 0, 0.0, T)
+    for batch in (T, sigma):  # the kernel reads the block's table; restart batches a prefix
+        run(params, env, batch, MODELS["linear"], 1, run_segment, "summary")
+        assert incentive._fresh is held
+    run(params_for("swucb"), env, sigma, MODELS["linear"], 1, run_segment, "summary")
+    assert incentive._fresh[0][0] == "swucb"  # one table at a time, as long as a batch
+    assert len(incentive._fresh[1]) == sigma
 
 
 def ucb1_in_state(count, total):
