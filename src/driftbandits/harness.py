@@ -283,12 +283,13 @@ class Resolved:
 # LANE_BYTES), and with curves 320 B per step (a kernel replication's curve
 # lists and arrays, a block's and the fold's (2, 4, T) sums, and the mean
 # and stderr curves).  All measured with tracemalloc at T = 100,000 and
-# 200,000.  UCB1, DUCB and SWUCB also hold a fresh policy's log-term table
-# (``incentive._fresh_log_terms``, up to 32 B per step), which outlives its
-# run and so may be held while the next schedule is built: a UCB1 or DUCB
-# kernel rep at T = 200,000 peaks at 184 B per step (flip) and 240 B
-# (sinusoidal) with a table held and at 152 and 208 B without, and at 353
-# and 481 B with curves (321 and 449 B before the table), hence TABLE_BYTES.
+# 200,000.  The kinds of LOCKSTEP_KINDS also hold a count-term table
+# (``incentive._count_terms``, up to 32 B per step), which outlives its run
+# and so may be held while the next schedule is built: a UCB1, DUCB or
+# eps-greedy kernel rep at T = 200,000 peaks at 184 B per step (flip) and
+# 240 B (sinusoidal) with a table held and at 152 and 208 B without, and at
+# 353 and 481 B with curves (321 and 449 B without a table), hence
+# TABLE_BYTES.
 # A config that needs more than MEMORY_LIMIT bytes is refused, naming the
 # larger of its per-step and per-rep terms; the limit is fixed, so the
 # refusal is the same on every host.
@@ -299,10 +300,10 @@ MEMORY_LIMIT = 2**30
 
 def _check_memory(config, collect_curves: bool = False) -> None:
     T, reps = config.env.T, config.reps
-    table = TABLE_BYTES if config.policy.kind in ("ucb1", "ducb", "swucb") else 0
+    # the sample-mean kinds hold a count-term table and one lockstep block
+    table, blocks = (TABLE_BYTES, LANE_BYTES) if config.policy.kind in LOCKSTEP_KINDS else (0, 0)
     steps = (STEP_BYTES[config.env.kind] + table + (CURVE_BYTES if collect_curves else 0)) * T
     totals = REP_BYTES * reps
-    blocks = LANE_BYTES if config.policy.kind in LOCKSTEP_KINDS else 0
     if steps + totals + blocks > MEMORY_LIMIT:
         raise ConfigError(
             "env.T" if steps >= totals else "reps",

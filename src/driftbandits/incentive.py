@@ -16,15 +16,16 @@ estimate is a reward sum over a count (UCB1, DUCB, SWUCB and eps-greedy) and
 one for Thompson.  They inline the policy and drift methods and the
 ``random.Random`` draws they make (``randrange``, ``betavariate``,
 ``gammavariate``), take the run's :class:`Totals` and return them updated,
-and append to a :class:`CurveRecorder` only when one is supplied.
-``lockstep.run_block`` runs many replications of a UCB-family or
-eps-greedy config at once, bit-identical to their kernel rep by rep.
+and append to a :class:`CurveRecorder` only when one is supplied.  The
+sample-mean kernel reads each step's count term (the UCB index's log term,
+eps-greedy's explore probability) from one table per process
+(``_count_terms``), as does ``lockstep.run_block``, which runs many
+replications of such a config at once, bit-identical to the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import exp, inf, log, sqrt
 from random import LOG4, SG_MAGICCONST, Random
 from typing import NamedTuple
@@ -170,62 +171,60 @@ def run_segment(
         rows, best = rows[t_start - 1:t_end], best[t_start - 1:t_end]
     if kernel is _thompson_segment:
         steps = zip(rows, best)
-    elif type(policy) is EpsGreedyPolicy:
-        steps = zip(rows, best, repeat(None))
-    else:  # the UCB family: each step's log term, from the table of its counts
-        xi, gamma, tau = (getattr(policy, name, None) for name in ("xi", "gamma", "tau"))
-        n, total = policy.t, getattr(policy, "disc_total", 0.0)
-        m = t_end - t_start + 1
-        steps = zip(rows, best, _fresh_log_terms(policy.kind, xi, gamma, tau, m)
-                    if n == 0 and total == 0.0 else
-                    _log_terms(policy.kind, xi, gamma, tau, n, total, m))
+    else:  # each step's count term, from the table of the policy's counts
+        steps = zip(rows, best, _count_terms(policy, policy.K, policy.t,
+                                             getattr(policy, "disc_total", 0.0),
+                                             t_end - t_start + 1))
     return kernel(policy, steps, t_start, model.l, cap, rng, totals, curves, batch)
 
 
-# The log term of the UCB-family index (UCB1's ``2 ln n``, DUCB's ``xi ln
-# n(gamma)``, SWUCB's ``xi ln min(n, tau)``) depends only on the count n and
-# the policy's constants, so it is a table over the counts, computed with
-# the float expressions of the policies' ``radius``.  A process holds one
-# fresh-policy table (count 0, DUCB total 0.0), as long as the longest
-# segment it has served, so every replication and restart batch of a config
-# shares it, as does ``lockstep.run_block``.  Any other state gets its
-# segment's own.
+# The count terms of the sample-mean kinds depend only on the observation
+# count n and the policy's constants, so each is a table over the counts,
+# computed with the policies' float expressions: the log term of the
+# UCB-family index (UCB1's ``2 ln n``, DUCB's ``xi ln n(gamma)``, SWUCB's
+# ``xi ln min(n, tau)``) and eps-greedy's explore probability
+# ``eps_c K / n``.  A process holds one table, keyed by the kind, the start
+# count, DUCB's total and the constants the kind reads, and serves it to any
+# segment no longer than it, so every replication and restart batch of a
+# config shares it, as does ``lockstep.run_block``.
+
+_held = None, None  # (key, table) of the one count-term table a process holds
 
 
-def _log_terms(kind: str, xi, gamma, tau, n: int, total: float, steps: int) -> list:
-    """The log term at each of the ``steps`` counts from ``n``, DUCB's
-    discounted count running on from ``total``.  Where the policy's ``log``
-    raises (at count 0, or a DUCB total of 0 or less) the entry is ``-inf``,
-    whose square root raises the same ``ValueError`` at the first arm with
-    pulls."""
+def _count_terms(p, K: int, n: int, total: float, steps: int) -> list:
+    """The count term of policy (or ``PolicyParams``) ``p`` at each of the
+    ``steps`` counts from ``n``, DUCB's discounted count running on from
+    ``total``; the held table if it starts there and is long enough.  Where
+    the policy's ``log`` raises (at count 0, or a DUCB total of 0 or less)
+    the log term is ``-inf``, whose square root raises the same
+    ``ValueError`` at the first arm with pulls; below K, in the round-robin,
+    where eps-greedy draws no explore test, its term is ``-1.0``."""
+    global _held
+    kind = p.kind
+    consts = ((p.xi, p.gamma) if kind == "ducb" else (p.xi, p.tau) if kind == "swucb"
+              else (p.eps_c, K) if kind == "eps_greedy" else ())
+    key = (kind, n, total, *consts)
+    if _held[0] == key and len(_held[1]) >= steps:
+        return _held[1]
+    _held = None, None  # drop the old table before building the next
     if kind == "ducb":
-        out = []
+        xi, gamma = consts
+        table = []
         for _ in range(steps):
-            out.append(-inf if total <= 0.0 else xi * log(total))
+            table.append(-inf if total <= 0.0 else xi * log(total))
             total = gamma * total + 1.0
-        return out
-    if kind == "swucb":
-        out = []
-        for k in range(n, n + steps):
-            if k >= tau:  # the window is full from here on
-                return out + [xi * log(tau)] * (n + steps - k)
-            out.append(xi * log(k) if k else -inf)
-        return out
-    return [2.0 * log(k) if k else -inf for k in range(n, n + steps)]
-
-
-_fresh = None, None  # (key, table) of the one fresh-policy table a process holds
-
-
-def _fresh_log_terms(kind: str, xi, gamma, tau, steps: int) -> list:
-    """``_log_terms`` of a fresh policy over ``steps`` counts or more; the
-    key holds only the constants the kind reads."""
-    global _fresh
-    key = (kind, *((xi, gamma) if kind == "ducb" else (xi, tau) if kind == "swucb" else ()))
-    if _fresh[0] != key or len(_fresh[1]) < steps:
-        _fresh = None, None  # drop the old table before building the next
-        _fresh = key, _log_terms(kind, xi, gamma, tau, 0, 0.0, steps)
-    return _fresh[1]
+    elif kind == "swucb":
+        xi, tau = consts
+        full = max(n, min(n + steps, tau))  # the window is full from count tau on
+        table = [xi * log(k) if k else -inf for k in range(n, full)]
+        table += [xi * log(tau)] * (n + steps - full)
+    elif kind == "eps_greedy":
+        c = p.eps_c * K  # the policy's eps_c * K / t is (eps_c * K) / t
+        table = [c / k if k >= K else -1.0 for k in range(n, n + steps)]
+    else:
+        table = [2.0 * log(k) if k else -inf for k in range(n, n + steps)]
+    _held = key, table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,8 @@ def _fresh_log_terms(kind: str, xi, gamma, tau, steps: int) -> list:
 # on the kind only where ``lockstep.run_block`` does: at the pick, where
 # eps-greedy scans for the greedy arm alone and then draws its explore test
 # and explored arm; in DUCB's factor 2 on the radius; and in the update
-# (DUCB's discounting; SWUCB's window, whose counts are ints).  The log term
-# of the index comes with each step, from the table above, which
-# ``lockstep.run_block`` reads too.  Eps-greedy updates as UCB1 does.
+# (DUCB's discounting; SWUCB's window, whose counts are ints).  Each step
+# brings its count term from the table above.  Eps-greedy updates as UCB1.
 # The stdlib draws are inlined too, as CPython's ``random.py`` writes them:
 # ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
 # ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
@@ -258,10 +256,9 @@ def _fresh_log_terms(kind: str, xi, gamma, tau, steps: int) -> list:
 #
 # Signature: (policy, steps, t_start, l, cap, rng, acc, curves, batch), where
 # ``steps`` yields each step's ``(means row, best mean)`` from step
-# ``t_start`` on, to the sample-mean kernel with the step's log term (``None``
-# for eps-greedy) as a third item, and ``acc`` is the run's :class:`Totals`
-# so far; returns the updated :class:`Totals`.  The step number is counted
-# only for the records.
+# ``t_start`` on, to the sample-mean kernel with the step's count term as a
+# third item, and ``acc`` is the run's :class:`Totals` so far; returns the
+# updated :class:`Totals`.  The step number is counted only for the records.
 
 
 def _bad_compensation(chi: float) -> ValueError:
@@ -289,7 +286,6 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     else:
         cnt, tot = pol.count, pol.total
     if eps:
-        eps_c = pol.eps_c
         getrandbits = rng.getrandbits
         k = K.bit_length()
         rest = range(1, K)
@@ -320,8 +316,7 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                         e = tot[i] / n if n > zero else 0.0
                         if e > ge:
                             g, ge = i, e
-                    p = eps_c * K / n_obs
-                    if p >= 1.0 or uniform() < p:
+                    if c >= 1.0 or uniform() < c:
                         # randrange(K): k-bit draws until one is below K
                         a = getrandbits(k)
                         while a >= K:

@@ -15,16 +15,17 @@ lanes are the reps.
   batch b of rep i reads exactly doubles ``start_b - 1 .. stop_b - 1`` of
   rep i's stream: the ``random()`` doubles of its ``random.Random``, read
   from it a chunk at a time (``_doubles``).
+* Every lane has taken the same number of local steps, so a step's count
+  term is one scalar, read from the kernel's table of a fresh policy's
+  counts (``incentive._count_terms``): the index's log term, the one
+  transcendental term, built with ``math.log`` (numpy's ``log`` is not
+  libm's), or eps-greedy's explore probability.
 * An eps-greedy step draws an explore test (only once the round-robin is
-  over and while eps < 1), an explored arm (only on exploring) and its
-  reward uniform; ``_eps_draws`` makes these calls on each rep's own
-  ``random.Random`` in the kernel's order, and the step takes the greedy
-  arm (``argmax``, the first maximum) wherever it does not explore.
-* Every lane has taken the same number of local steps, so the one
-  transcendental term, the index's log term at that count, is one scalar
-  per step, read from the kernel's fresh-policy table
-  (``incentive._fresh_log_terms``, built with ``math.log``: numpy's ``log``
-  is not libm's).
+  over and while its probability is below 1), an explored arm (only on
+  exploring) and its reward uniform; ``_eps_draws`` makes these calls on
+  each rep's own ``random.Random`` in the kernel's order, with the
+  probabilities of the table, and the step takes the greedy arm
+  (``argmax``, the first maximum) wherever it does not explore.
 * The rest is + - * / and sqrt, which numpy rounds as Python does, and
   ``argmax`` takes the first maximum, as the kernel's strict ``>`` does.
 * A lane stores only its arm and its compensation per step; a second pass
@@ -46,7 +47,7 @@ from math import inf
 
 import numpy as np
 
-from .incentive import DriftModel, _fresh_log_terms
+from .incentive import DriftModel, _count_terms
 
 __all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 
@@ -78,25 +79,26 @@ def _doubles(rngs, n: int) -> np.ndarray:
     return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
-def _eps_draws(rngs, start: int, m: int, sigma: int, K: int, eps_c: float):
+def _eps_draws(rngs, start: int, m: int, sigma: int, K: int, terms: list):
     """Every stream's draws for steps ``start .. start + m - 1`` (0-based) of an
     eps-greedy run restarting every ``sigma`` steps, drawn as the kernel draws
     them: the (m, R) reward uniforms, and the (m, R) arms the steps explore,
     K where a step takes the greedy arm.
 
     A step's draws depend only on the stream and its batch-local step count
-    n: after the round-robin (n >= K) an explore test ``random() < eps`` with
-    ``eps = eps_c * K / n``, skipped while eps >= 1, then on exploring
+    n: the explore test ``random() < terms[n]``, skipped in the round-robin
+    (``-1.0``) and while the probability is at least 1, then on exploring
     ``randrange(K)`` as ``getrandbits`` until below K, and last the reward
-    uniform.
+    uniform.  ``terms`` is the kernel's table of a fresh policy's counts
+    (``incentive._count_terms``), at least a batch long.
     """
-    # per step: -1 in the round-robin, else eps (>= 1 explores without a draw)
-    c, ps = eps_c * K, []
+    ps = []
     t, stop = start, start + m
     while t < stop:  # the local steps n of one batch at a time
         n = t % sigma
-        ps += [c / j if j >= K else -1.0 for j in range(n, min(sigma, n + stop - t))]
-        t += min(sigma - n, stop - t)
+        end = min(sigma, n + stop - t)
+        ps += terms[n:end]
+        t += end - n
     k = K.bit_length()
     u = []
     explored = np.full((len(rngs), m), K, dtype=np.min_scalar_type(K))
@@ -170,7 +172,7 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     R = len(rngs)
     batches = -(-T // sigma)
     L = batches * R  # lane (b, i) is column b * R + i
-    kind, xi, gamma, tau = params.kind, params.xi, params.gamma, params.tau
+    kind, gamma, tau = params.kind, params.gamma, params.tau
     l, cap = model.l, (model.cap if model.kind == "saturating" else None)
     # The buffers hold a span of local steps, row j holding step j of every
     # lane.  Without restarts a span is a chunk of steps, drawn, stepped and
@@ -206,8 +208,7 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     s = np.zeros((L, K))  # the matching reward sum
     nf, sf = n.reshape(-1), s.reshape(-1)
     n_obs = 0
-    if not eps:
-        logs = _fresh_log_terms(kind, xi, gamma, tau, min(sigma, T))  # a batch's counts
+    terms = _count_terms(params, K, 0, 0.0, min(sigma, T))  # a batch's counts
     # DUCB: a count decayed since the batch's first step; while it is above
     # 0, no discounted count has underflowed to 0.
     least = 1.0
@@ -222,7 +223,7 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                 m = min(fold, stop - c0)
                 rows = step_rows[c0 - first:c0 - first + m]
                 if eps:
-                    u, explore_rows[rows] = _eps_draws(rngs, c0, m, sigma, K, params.eps_c)
+                    u, explore_rows[rows] = _eps_draws(rngs, c0, m, sigma, K, terms)
                 else:
                     u = _doubles(rngs, m).T
                 wins_rows[rows] = u[:, :, None] < means[c0:c0 + m, None, :]
@@ -242,7 +243,7 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                         if explores[j]:
                             np.copyto(a, lane_explore[j], where=lane_explore[j] < K)
                     else:
-                        v = logs[n_obs] / n
+                        v = terms[n_obs] / n
                         np.sqrt(v, out=v)
                         if kind == "ducb":
                             v *= 2.0

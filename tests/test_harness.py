@@ -45,7 +45,7 @@ from driftbandits.lockstep import (
     LOCKSTEP_MIN,
     capacity,
 )
-from driftbandits.policy import PolicyParams, Ucb1Policy
+from driftbandits.policy import POLICY_KINDS, PolicyParams, Ucb1Policy
 from driftbandits.restart import RestartParams
 from driftbandits.seeding import make_rng, rep_seed
 from reference_loop import rep_order_fold
@@ -788,7 +788,7 @@ class TestMemoryLimit:
     @given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from(["flip", "sinusoidal"]))
     @settings(max_examples=200, deadline=None)
     def test_huge_sizes_are_refused_before_any_allocation(self, T, reps, kind):
-        # small_config runs DUCB, which holds a log-term table too
+        # small_config runs DUCB, which holds a count-term table too
         steps = (harness.STEP_BYTES[kind] + harness.TABLE_BYTES) * T
         totals = harness.REP_BYTES * reps
         assume(steps + totals > harness.MEMORY_LIMIT)
@@ -837,19 +837,22 @@ class TestMemoryLimit:
             harness._check_memory(dataclasses.replace(
                 flip, env=EnvSpec(kind="sinusoidal", T=sin_T + 1)))
 
-    def test_ucb_family_is_charged_its_log_table(self):
+    def test_sample_mean_kinds_are_charged_a_table_and_a_block(self):
+        # each kind of LOCKSTEP_KINDS holds a count-term table (TABLE_BYTES per
+        # step) and one lockstep block (LANE_BYTES); Thompson holds neither
         step = harness.STEP_BYTES["flip"] + harness.TABLE_BYTES
         T = (harness.MEMORY_LIMIT - harness.REP_BYTES - LANE_BYTES) // step
-        for kind in ("ucb1", "ducb", "swucb", "eps_greedy"):
+        for kind in POLICY_KINDS:
             policy = PolicyParams(kind=kind, gamma=0.99, tau=100)
             harness._check_memory(small_config(env=EnvSpec(kind="flip", T=T), policy=policy,
                                                reps=1))
             longer = small_config(env=EnvSpec(kind="flip", T=T + 1), policy=policy, reps=1)
-            if kind == "eps_greedy":  # no index, no table
-                harness._check_memory(longer)
-            else:
+            if kind in LOCKSTEP_KINDS:
                 with pytest.raises(ConfigError, match="env.T"):
                     harness._check_memory(longer)
+            else:
+                assert kind == "thompson"
+                harness._check_memory(longer)
 
     def test_every_preset_fits(self):
         from driftbandits.cli import REPRODUCE_PRESETS

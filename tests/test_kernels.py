@@ -140,12 +140,24 @@ def ucb1_pinned():
     return policy
 
 
+def eps_greedy_in_state(t):
+    """A two-arm eps-greedy at count ``t``, 1 (inside its round-robin) or 7,
+    where its explore probability 2 / t is below 1 and the test is drawn."""
+    policy = make_policy(params_for("eps_greedy"), 2)
+    policy.count = [4.0, 3.0] if t == 7 else [1.0, 0.0]
+    policy.total = [2.5, 1.0] if t == 7 else [1.0, 0.0]
+    policy.t = t
+    return policy
+
+
 HAND_SET = {
     "ducb_off_the_recursion": lambda: ducb_in_state(4, 2.75),
     "ducb_fresh_count_with_a_total": lambda: ducb_in_state(0, 1e6),
     # the policy's log(-1.0) raises at the first index; the kernel raises too
     "ducb_negative_total": lambda: ducb_in_state(4, -1.0),
     "ucb1_at_t_2e12": ucb1_pinned,
+    "eps_greedy_past_the_round_robin": lambda: eps_greedy_in_state(7),
+    "eps_greedy_inside_the_round_robin": lambda: eps_greedy_in_state(1),
 }
 
 
@@ -167,18 +179,24 @@ def test_kernel_matches_reference_from_a_hand_set_state(state):
     assert (type(outcomes[0][0]) is str) == (state == "ducb_negative_total")
 
 
-def test_fresh_policies_share_one_log_table():
+def test_one_count_term_table_serves_every_state():
     env, sigma = ENVS["sinusoidal_restarts"]
-    params = params_for("ducb")
+    params = params_for("eps_greedy")  # eps_c * K = 2.0
+    fresh = [2.0 / k if k >= 2 else -1.0 for k in range(T)]
     run_block(params, env, MODELS["linear"], [random.Random(1)], T)
-    held = incentive._fresh
-    assert held[1] == incentive._log_terms("ducb", params.xi, params.gamma, None, 0, 0.0, T)
+    held = incentive._held
+    assert held[1] == fresh
     for batch in (T, sigma):  # the kernel reads the block's table; restart batches a prefix
         run(params, env, batch, MODELS["linear"], 1, run_segment, "summary")
-        assert incentive._fresh is held
+        assert incentive._held is held
+    # a hand-set count needs its own counts' table, which replaces the held one
+    run_segment(eps_greedy_in_state(7), env, 1, 10, MODELS["linear"], random.Random(1))
+    assert incentive._held[1] == fresh[7:17]
+    run(params, env, sigma, MODELS["linear"], 1, run_segment, "summary")
+    assert incentive._held[1] == fresh[:sigma]  # a fresh run rebuilds a batch's table
     run(params_for("swucb"), env, sigma, MODELS["linear"], 1, run_segment, "summary")
-    assert incentive._fresh[0][0] == "swucb"  # one table at a time, as long as a batch
-    assert len(incentive._fresh[1]) == sigma
+    assert incentive._held[0][0] == "swucb"  # one table at a time
+    assert len(incentive._held[1]) == sigma
 
 
 def ucb1_in_state(count, total):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from driftbandits import harness
+from driftbandits import harness, incentive
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -45,6 +45,21 @@ def test_rounds_alternate_the_first_cell_and_scale_each_sample_by_its_own_factor
     assert ran == ["a", "b", "b", "a", "a", "b"]
     assert samples == [[taken[0] * 1.0, taken[3] * 5.0, taken[4] * 7.0],
                        [taken[1] * 2.0, taken[2] * 3.0, taken[5] * 11.0]]
+
+
+def test_kernel_samples_each_build_their_own_count_term_table(monkeypatch):
+    tool, held = load("engine_speed"), []
+
+    def run_restarting(*args, **kwargs):
+        held.append(incentive._held)
+        return real(*args, **kwargs)
+
+    real = tool.run_restarting
+    monkeypatch.setattr(tool, "run_restarting", run_restarting)
+    # without the drop, each cell would find the other kind's table held
+    assert tool.main(["kernel", "--kinds", "ucb1,eps_greedy", "--envs", "flip_b3",
+                      "--T", "200", "--rounds", "2"]) == 0
+    assert held == [(None, None)] * 4
 
 
 @pytest.mark.parametrize("restarts", [False, True], ids=["no_restarts", "restarts"])

@@ -14,7 +14,8 @@ split      In-process time over pool time: N summary-only replications as
            included.  Above 1 the pool is faster.
 block      Milliseconds per replication of one lockstep block of R reps.
 kernel     ``run_segment`` microseconds per step: one replication through
-           ``restart.run_restarting``, per policy and environment.
+           ``restart.run_restarting``, per policy and environment, each
+           sample building its own count-term table.
 
 Every sample comes from one timer (``rounds``): each round runs every cell
 of a table, or of a row, once, in reverse order on odd rounds, so two cells
@@ -33,7 +34,7 @@ from time import perf_counter
 
 import numpy as np
 
-from driftbandits import harness
+from driftbandits import harness, incentive
 from driftbandits.cli import TABLE3_PRESETS
 from driftbandits.harness import flip_config, preset_policy, sinusoidal_config
 from driftbandits.lockstep import LOCKSTEP_KINDS, capacity, run_block
@@ -82,13 +83,15 @@ def _seconds(fn) -> float:
     return perf_counter() - start
 
 
-def rounds(cells: list, n: int, host) -> list:
+def rounds(cells: list, n: int, host, before=lambda: None) -> list:
     """Per cell, its ``n`` host-scaled samples in seconds: ``n`` rounds of
-    every cell once, in reverse order on odd rounds."""
+    every cell once, in reverse order on odd rounds, each sample after an
+    untimed call of ``before``."""
     samples = [[] for _ in cells]
     order = list(range(len(cells)))
     for i in range(n):
         for c in (order if i % 2 == 0 else order[::-1]):
+            before()
             seconds, factor = host.timed(lambda: _seconds(cells[c]))
             samples[c].append(seconds * factor)
     return samples
@@ -145,11 +148,17 @@ def _kernel(config: harness.ExperimentConfig):
                                   harness.make_rng(config.base_seed, 0))
 
 
+def _drop_table():
+    """Drop the count-term table the process holds, so that a kernel sample
+    builds its own, whichever cell ran before it."""
+    incentive._held = None, None
+
+
 def table_rows(args, host):
     """The (label, cells) rows of ``args.table``."""
     if args.table == "kernel":
         cells = {(k, e): _kernel(ENVS[e][1](k, args.T)) for k in args.kinds for e in args.envs}
-        us = dict(zip(cells, rounds(list(cells.values()), args.rounds, host)))
+        us = dict(zip(cells, rounds(list(cells.values()), args.rounds, host, _drop_table)))
         for k in args.kinds:
             yield k, [spread(np.array(us[k, e]) / args.T * 1e6, 3) for e in args.envs]
         return
