@@ -271,8 +271,8 @@ def cmd_reproduce(args) -> int:
                     mean = summary.curve_mean[key]
                     _write_curve_csv(out / f"{target}_{label}_{metric}.csv", mean,
                                      summary.curve_stderr[key])
-                    ts = list(range(1, mean.size + 1))
-                    series.setdefault(metric, {})[label] = (ts[::10], mean.tolist()[::10])
+                    series.setdefault(metric, {})[label] = (range(1, mean.size + 1, 10),
+                                                            mean[::10].tolist())
     if curves is None:
         path = out / f"{target}_comparison.csv"
         with open(path, "w", newline="") as fh:

@@ -72,11 +72,13 @@ def _doubles(rngs, n: int) -> np.ndarray:
     ``getrandbits(64 * n)`` takes a stream's next 2n 32-bit words and places
     the first in the least significant bits, so its little-endian bytes are
     the words in draw order; each double is made from two of them as
-    ``random()`` makes it, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+    ``random()`` makes it, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  Read
+    as one little-endian 64-bit word ``a + b * 2**32``, the pair gives that
+    53-bit integer exactly, and its conversion and scaling are exact.
     """
     raw = b"".join(rng.getrandbits(64 * n).to_bytes(8 * n, "little") for rng in rngs)
-    w = np.frombuffer(raw, dtype="<u4").reshape(len(rngs), 2 * n)
-    return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    x = np.frombuffer(raw, dtype="<u8").reshape(len(rngs), n)
+    return (((x & 0xFFFFFFFF) >> 5 << 26) | (x >> 38)).astype(float) * (1.0 / 9007199254740992.0)
 
 
 def _eps_draws(rngs, start: int, m: int, sigma: int, K: int, terms: list):
@@ -121,6 +123,13 @@ def _eps_draws(rngs, start: int, m: int, sigma: int, K: int, terms: list):
     return np.array(u).T, explored.T
 
 
+def _wins(u: np.ndarray, means: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[j, i, k] = u[j, i] < means[j, k]``, one arm at a time."""
+    for k in range(means.shape[1]):
+        np.less(u, means[:, k, None], out=out[:, :, k])
+    return out
+
+
 def _in_range(a: np.ndarray) -> bool:
     """Whether every value lies in [0, inf); NaN fails."""
     return 0.0 <= a.min() and a.max() < inf
@@ -128,6 +137,13 @@ def _in_range(a: np.ndarray) -> bool:
 
 def _arm_dtype(K: int) -> np.dtype:
     return np.min_scalar_type(K - 1)
+
+
+def _rows(step_rows: np.ndarray, batches: int, j0: int, m: int):
+    """The buffer rows of a span's steps ``j0 .. j0 + m - 1``: without
+    restarts (one batch) a slice, so their rows are views; with restarts,
+    split by batch, an index array."""
+    return slice(j0, j0 + m) if batches == 1 else step_rows[j0:j0 + m]
 
 
 def capacity(params, T: int, K: int, sigma: int) -> tuple:
@@ -173,7 +189,12 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     batches = -(-T // sigma)
     L = batches * R  # lane (b, i) is column b * R + i
     kind, gamma, tau = params.kind, params.gamma, params.tau
-    l, cap = model.l, (model.cap if model.kind == "saturating" else None)
+    # The step loop's constants as 0-d arrays, which numpy takes in faster
+    # than Python floats; the doubles, and so every product, are the same.
+    l, one, two = np.array(model.l, dtype=float), np.array(1.0), np.array(2.0)
+    cap = np.array(model.cap, dtype=float) if model.kind == "saturating" else None
+    if kind == "ducb":
+        decay = np.array(gamma, dtype=float)
     # The buffers hold a span of local steps, row j holding step j of every
     # lane.  Without restarts a span is a chunk of steps, drawn, stepped and
     # summed before the next; with restarts it is a whole batch, every
@@ -216,37 +237,45 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
     if ring:
         ring_idx = np.empty((tau, L), dtype=np.intp)
         ring_r = np.empty((tau, L))
+    e, v = np.empty((L, K)), np.empty((L, K))  # a step's sample means and index
+    e_cols = [e[:, i] for i in range(K)]
+    greedy = np.empty(L)  # a step's greedy sample mean
+    idx = np.empty(L, dtype=np.intp)  # flat offset of a step's arm in each lane
+    best = means.max(axis=1)  # each step's best mean
+    arm = np.empty((span, L), dtype=_arm_dtype(K))  # each lane-step's arm
+    chi = np.empty((span, L))  # and its compensation
+    by_step = (arm.reshape(-1, R), chi.reshape(-1, R), wins_rows)
     with np.errstate(all="ignore"):
         for first in range(0, sigma, span):
             stop = min(first + span, T) if batches == 1 else T
             for c0 in range(first, stop, fold):
                 m = min(fold, stop - c0)
-                rows = step_rows[c0 - first:c0 - first + m]
+                rows = _rows(step_rows, batches, c0 - first, m)
                 if eps:
                     u, explore_rows[rows] = _eps_draws(rngs, c0, m, sigma, K, terms)
                 else:
                     u = _doubles(rngs, m).T
-                wins_rows[rows] = u[:, :, None] < means[c0:c0 + m, None, :]
-            if eps:
-                explores = (lane_explore < K).any(axis=1)  # whether any lane explores
-            arm = np.empty((span, L), dtype=_arm_dtype(K))  # each lane-step's arm
-            chi = np.empty((span, L))  # and its compensation
-            for j in range(min(span, sigma - first)):
-                if n_obs < K:  # round-robin: no greedy arm, no compensation
-                    idx = ar_k + n_obs
-                    arm[j] = n_obs
-                    chi[j] = 0.0
+                u = np.ascontiguousarray(u)  # (m, R), compared one arm at a time
+                if batches == 1:
+                    _wins(u, means[c0:c0 + m], wins_rows[rows])
                 else:
-                    e = s / n
+                    wins_rows[rows] = _wins(u, means[c0:c0 + m], np.empty((m, R, K), dtype=bool))
+            if eps:
+                explores = (lane_explore < K).any(axis=1).tolist()  # whether any lane explores
+            for j in range(min(span, sigma - first)):
+                chi_j = chi[j]
+                if n_obs >= K:  # past the round-robin: pick the arms
+                    np.divide(s, n, out=e)
                     if eps:  # every arm has a pull since the batch began
                         a = e.argmax(axis=1)
                         if explores[j]:
-                            np.copyto(a, lane_explore[j], where=lane_explore[j] < K)
+                            explore_j = lane_explore[j]
+                            np.copyto(a, explore_j, where=explore_j < K)
                     else:
-                        v = terms[n_obs] / n
+                        np.divide(terms[n_obs], n, out=v)
                         np.sqrt(v, out=v)
                         if kind == "ducb":
-                            v *= 2.0
+                            v *= two
                         v += e
                         # an arm empties only as pulls leave the window or counts underflow
                         if (ring or least == 0.0) and np.count_nonzero(nf) < nf.size:
@@ -254,48 +283,50 @@ def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=F
                             e[empty] = 0.0
                             v[empty] = inf
                         a = v.argmax(axis=1)
-                    arm[j] = a
-                    idx = a + ar_k
-                    if eps and not explores[j]:  # every lane takes its greedy arm
-                        chi[j] = 0.0
-                    else:
-                        greedy = e[:, 0]
-                        for i in range(1, K):
-                            greedy = np.maximum(greedy, e[:, i])
-                        np.subtract(greedy, e.take(idx), out=chi[j])
-                if cap is None:
-                    np.multiply(chi[j], l, out=r)
+                if ring:  # this step's pull takes the ring slot of the pull leaving the window
+                    h = n_obs % tau
+                    idx, r = ring_idx[h], ring_r[h]
+                    if n_obs >= tau:  # the pick above still counted it
+                        nf[idx] -= one
+                        sf[idx] -= r
+                if n_obs < K:  # round-robin: no greedy arm, no compensation
+                    np.add(ar_k, n_obs, out=idx)
+                    arm[j] = n_obs
+                    chi_j.fill(0.0)
                 else:
-                    np.minimum(chi[j], cap, out=r)
+                    arm[j] = a
+                    np.add(a, ar_k, out=idx)
+                    if eps and not explores[j]:  # every lane takes its greedy arm
+                        chi_j.fill(0.0)
+                    else:
+                        np.maximum(e_cols[0], e_cols[1], out=greedy)
+                        for col in e_cols[2:]:
+                            np.maximum(greedy, col, out=greedy)
+                        np.subtract(greedy, e.take(idx), out=chi_j)
+                if cap is None:
+                    np.multiply(chi_j, l, out=r)
+                else:
+                    np.minimum(chi_j, cap, out=r)
                     r *= l
                 r += lane_wins[j].take(idx)
                 if kind == "ducb":
-                    n *= gamma
-                    s *= gamma
+                    n *= decay
+                    s *= decay
                     least *= gamma
-                elif ring:
-                    h = n_obs % tau
-                    if n_obs >= tau:
-                        old = ring_idx[h]
-                        nf[old] -= 1.0
-                        sf[old] -= ring_r[h]
-                    ring_idx[h] = idx
-                    ring_r[h] = r
-                nf[idx] += 1.0
+                nf[idx] += one
                 sf[idx] += r
                 n_obs += 1
             # Sum the span's steps in time order, rep by rep.
-            by_step = (arm.reshape(-1, R), chi.reshape(-1, R), wins_rows)
             for c0 in range(first, stop, fold):
                 m = min(fold, stop - c0)
-                at = step_rows[c0 - first:c0 - first + m]
-                arm_c, chi_c, wins_c = (a.take(at, axis=0) for a in by_step)
+                at = _rows(step_rows, batches, c0 - first, m)
+                arm_c, chi_c, wins_c = (a[at] for a in by_step)
                 x_c = wins_c.reshape(-1).take(x_at[:m] + arm_c)
                 r_c = (chi_c if cap is None else np.minimum(chi_c, cap)) * l + x_c
                 if not (_in_range(chi_c) and _in_range(r_c)):
                     return None
                 steps = slice(c0, c0 + m)
-                mu_star = means[steps].max(axis=1, keepdims=True)
+                mu_star = best[steps, None]
                 sums = slice(1, m + 1)
                 np.subtract(mu_star, means[steps].reshape(-1).take(mu_at[:m] + arm_c),
                             out=cum[0, sums])

@@ -481,11 +481,12 @@ def test_block_matches_the_kernels_on_more_arms(kind, K):
                                      BLOCK_SEEDS, curves)
 
 
-def test_eps_greedy_block_draws_across_chunks():
-    # 40 reps without restarts step 2^14 // 40 = 409 steps a chunk, so the
-    # explore tests and rewards of each stream are drawn over 8 chunks
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_block_draws_across_chunks(kind):
+    # 40 reps without restarts step 2^14 // 40 = 409 steps a chunk, so each
+    # stream is drawn, stepped and summed over 8 chunks, the last one shorter
     env, _ = ENVS["flip_b3"]
-    assert_block_matches_kernels(params_for("eps_greedy"), env, T, MODELS["linear"],
+    assert_block_matches_kernels(params_for(kind), env, T, MODELS["linear"],
                                  tuple(range(40)), True)
 
 
@@ -503,6 +504,14 @@ def test_block_matches_a_swucb_arm_that_left_the_window():
     env, _ = ENVS["flip_b3"]
     assert any(states_seen(params, env, 17, lambda p: 0 in p.win_count))
     assert_block_matches_kernels(params, env, T, MODELS["saturating"], BLOCK_SEEDS, True)
+
+
+@pytest.mark.parametrize("sigma", [T, 7], ids=["one_batch", "restarts"])
+@pytest.mark.parametrize("tau", [1, 2])
+def test_block_matches_a_swucb_window_shorter_than_the_round_robin(tau, sigma):
+    # on 3 arms, pulls leave the window before every arm has been pulled once
+    assert_block_matches_kernels(PolicyParams(kind="swucb", tau=tau), multi_arm_env(3), sigma,
+                                 MODELS["linear"], BLOCK_SEEDS, True)
 
 
 def test_block_matches_a_swucb_window_longer_than_the_run():

@@ -22,7 +22,7 @@ def load(name, folder=TOOLS):
 @pytest.mark.parametrize("argv, rows, columns", [
     (["crossover", "--reps", "8,20", "--envs", "flip_b1"], 8, 2),
     (["split", "--reps", "4,40", "--kinds", "ucb1,ducb"], 2, 2),
-    (["block", "--reps", "8,20", "--kinds", "ucb1,ducb"], 2, 2),
+    (["block", "--reps", "8,20", "--kinds", "ucb1,ducb"], 4, 2),
     (["kernel", "--envs", "flip_b3,table3_v24"], 5, 2),
 ], ids=["crossover", "split", "block", "kernel"])
 def test_engine_speed_prints_its_tables(argv, rows, columns, capsys):

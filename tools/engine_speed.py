@@ -12,7 +12,8 @@ split      In-process time over pool time: N summary-only replications as
            ``harness._plan`` cuts them for one worker, against the same reps
            as 2 near-equal blocks on a pool of 2 processes, pool start-up
            included.  Above 1 the pool is faster.
-block      Milliseconds per replication of one lockstep block of R reps.
+block      Milliseconds per replication of one lockstep block of R reps, per
+           environment, lockstep policy and output (summary or curves).
 kernel     ``run_segment`` microseconds per step: one replication through
            ``restart.run_restarting``, per policy and environment, each
            sample building its own count-term table.
@@ -70,7 +71,7 @@ TABLES = {
                   ",".join(LOCKSTEP_KINDS), LOCKSTEP_KINDS, "8,12,16,20,24,32,48", 5),
     "split": ("env, policy: in-process/pool", "N", "flip_b1", UCB, POLICY_KINDS,
               "40,64,96,128,192,256,512,1024", 5),
-    "block": ("env, policy: ms per rep", "R", "flip_b1", UCB, LOCKSTEP_KINDS,
+    "block": ("env, policy, output: ms per rep", "R", "flip_b1", UCB, LOCKSTEP_KINDS,
               "64,100,128,150,256", 5),
     "kernel": ("policy: us/step", None, "flip_b3,table3_v24", ",".join(POLICY_KINDS),
                POLICY_KINDS, None, 15),
@@ -165,17 +166,20 @@ def table_rows(args, host):
     for env in args.envs:
         for kind in args.kinds:
             label, config = f"{ENVS[env][0]} {kind}", ENVS[env][1](kind, args.T)
-            if args.table == "crossover":
-                for curves in (False, True):
-                    yield f"{label} {'curves' if curves else 'summary'}", [spread(ratios(
-                        [lambda: harness._scalar_block(config, range(R), curves),
-                         _block(config, R, curves)], args.rounds, host)) for R in args.reps]
-            elif args.table == "split":
+            if args.table == "split":
                 yield label, [spread(ratios(_split(replace(config, reps=n)), args.rounds, host))
                               for n in args.reps]
-            else:
-                blocks = rounds([_block(config, R, False) for R in args.reps], args.rounds, host)
-                yield label, [spread(np.array(s) / R * 1e3) for s, R in zip(blocks, args.reps)]
+                continue
+            for curves in (False, True):
+                row = f"{label} {'curves' if curves else 'summary'}"
+                if args.table == "crossover":
+                    yield row, [spread(ratios(
+                        [lambda: harness._scalar_block(config, range(R), curves),
+                         _block(config, R, curves)], args.rounds, host)) for R in args.reps]
+                else:
+                    blocks = rounds([_block(config, R, curves) for R in args.reps],
+                                    args.rounds, host)
+                    yield row, [spread(np.array(s) / R * 1e3) for s, R in zip(blocks, args.reps)]
 
 
 def _names(allowed):
