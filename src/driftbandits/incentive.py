@@ -236,7 +236,8 @@ def _count_terms(p, K: int, n: int, total: float, steps: int) -> list:
 # per-arm lists are the policy's own, updated in place; scalars are written
 # back on exit, also when a check raises), and one pass over the arms finds
 # both the index argmax (ties to the lowest arm, starting from -inf) and the
-# greedy argmax (ties to the lowest arm, starting from arm 1's estimate).
+# greedy argmax (ties to the lowest arm, starting from the first arm's
+# estimate); both kernels keep the arms 0-based and add 1 in a step record.
 # The sample-mean kernel (the kinds of ``lockstep.LOCKSTEP_KINDS``) branches
 # on the kind only where ``lockstep.run_block`` does: at the pick, where
 # eps-greedy scans for the greedy arm alone and then draws its explore test
@@ -247,9 +248,11 @@ def _count_terms(p, K: int, n: int, total: float, steps: int) -> list:
 # ``randrange(K)`` is ``getrandbits(K.bit_length())`` until below K, and
 # ``betavariate(a, b)`` is ``y = gammavariate(a, 1.0)``, then
 # ``y / (y + gammavariate(b, 1.0))`` unless y is 0.  A shape above 1 runs
-# Cheng's (1977) rejection loop on per-arm cached constants, a shape of 1 is
-# ``-log(1.0 - random())``, and a shape below 1 (only a prior) still calls
-# ``gammavariate``.  The scale is 1.0, and ``x * 1.0`` is ``x``.
+# Cheng's (1977) rejection loop on per-arm cached constants (the pulled
+# arm's are rewritten in place after a step, as is its posterior mean), a
+# shape of 1 is ``-log(1.0 - random())``, and a shape below 1 (only a
+# prior) still calls ``gammavariate``.  The scale is 1.0, and ``x * 1.0`` is
+# ``x``.
 # Any edit here must keep the draw order and every float expression of the
 # loop over the public methods; tests/test_kernels.py checks bit-identity
 # against that loop, whose policies call the stdlib methods.
@@ -402,10 +405,11 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     n_obs = pol.t
     uniform = rng.random
     gammavariate = rng.gammavariate
-    # Per arm: the Cheng constants of alpha and of beta; only the pulled
-    # arm's entry changes after a step.
+    # Per arm: the Cheng constants of alpha and of beta, and the posterior
+    # mean; only the pulled arm's entries change after a step.
     ca = [_cheng(s) for s in alpha]
     cb = [_cheng(s) for s in beta]
+    mean = [ai / (ai + bi) for ai, bi in zip(alpha, beta)]
     arms = range(K)
     pseudo, realized, comp_sum, reward_sum = acc
     t = t_start - 1
@@ -416,13 +420,14 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
         app_w = curves.true_reward.append
         records = curves.steps
     try:
+        # the arms a (recommended) and g (greedy) are 0-based until a record
         for row, mu_star in steps:
             if n_obs < K:
-                a = g = n_obs + 1
+                a = g = n_obs
                 chi = delta = 0.0
             else:
-                g, ge = 1, alpha[0] / (alpha[0] + beta[0])
-                a, av, ae = 1, -inf, ge
+                g, ge = 0, mean[0]
+                a, av, ae = 0, -inf, ge
                 for i in arms:
                     # betavariate(alpha[i], beta[i]): y ~ Gamma(alpha), and
                     # only when y is nonzero a second draw w ~ Gamma(beta).
@@ -464,12 +469,11 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                         v = y / (y + w)
                     else:
                         v = 0.0
-                    ai, bi = alpha[i], beta[i]
-                    e = ai / (ai + bi)
+                    e = mean[i]
                     if v > av:
-                        a, av, ae = i + 1, v, e
+                        a, av, ae = i, v, e
                     if e > ge:
-                        g, ge = i + 1, e
+                        g, ge = i, e
                 if a != g:
                     chi = ge - ae
                     if chi != chi or chi < 0.0:
@@ -477,18 +481,24 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                     delta = l * (chi if chi < cap else cap)
                 else:
                     chi = delta = 0.0
-            mu_a = row[a - 1]
+            mu_a = row[a]
             x = 1.0 if uniform() < mu_a else 0.0
             r = x + delta
             if not 0.0 <= r < inf:
                 raise _bad_reward(r)
-            i = a - 1
+            # The pulled arm's new shape s is at least 1 (a prior of at most
+            # 2**-53 plus 1.0 is exactly 1.0), so sqrt(2s - 1) is defined;
+            # the draw tests s, and never reads the constants of a shape of 1.
             if uniform() < (r if r < 1.0 else 1.0):
-                alpha[i] += 1.0
-                ca[i] = _cheng(alpha[i])
+                alpha[a] = s = alpha[a] + 1.0
+                mean[a] = s / (s + beta[a])
+                consts = ca
             else:
-                beta[i] += 1.0
-                cb[i] = _cheng(beta[i])
+                beta[a] = s = beta[a] + 1.0
+                mean[a] = alpha[a] / (alpha[a] + s)
+                consts = cb
+            ainv = sqrt(2.0 * s - 1.0)
+            consts[a] = s, ainv, s - LOG4, s + ainv
             n_obs += 1
 
             pseudo += mu_star - mu_a
@@ -503,7 +513,7 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
                 if records is not None:
                     t += 1
                     records.append(StepOutcome(
-                        t, batch, a, g, chi, delta, x, r, pseudo, realized, comp_sum
+                        t, batch, a + 1, g + 1, chi, delta, x, r, pseudo, realized, comp_sum
                     ))
     finally:
         pol.t = n_obs

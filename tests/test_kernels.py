@@ -289,6 +289,9 @@ PRIORS = {
     "below_one": (0.3, 0.7),
     "below_and_above_one": (0.5, 2.5),
     "one_and_above_one": (1.0, 2.5),
+    # 1e-20 + 1.0 == 1.0: an arm's first success or failure gives a shape
+    # of exactly 1, which must still draw as a shape of 1, not by Cheng
+    "updated_to_one": (1e-20, 1e-20),
     "non_integer": (1.7, 3.2),
     "large": (1e6, 3.7),
     "limit": (1e300, 1e300),
