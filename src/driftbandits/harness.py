@@ -32,7 +32,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -245,14 +244,22 @@ def _dump_section(section: str, obj) -> dict:
     return out
 
 
-@lru_cache(maxsize=64)
+_held_env = None, None  # (spec, environment) of the one environment a process holds
+
+
 def build_env(spec: EnvSpec):
-    """Construct (and memoize per process) the immutable environment."""
-    try:
-        make = make_flip_env if spec.kind == "flip" else make_sinusoidal_env
-        return make(*(getattr(spec, k) for k in _SCHEMA["env"][1][spec.kind]))
-    except ValueError as exc:
-        raise ConfigError("env", str(exc)) from exc
+    """The immutable environment of ``spec``.  A process holds the last one
+    it built and drops it before building another, so a command holds one
+    schedule at a time, as ``_check_memory`` charges it."""
+    global _held_env
+    if _held_env[0] != spec:
+        _held_env = None, None  # drop the old schedule before building the next
+        try:
+            make = make_flip_env if spec.kind == "flip" else make_sinusoidal_env
+            _held_env = spec, make(*(getattr(spec, k) for k in _SCHEMA["env"][1][spec.kind]))
+        except ValueError as exc:
+            raise ConfigError("env", str(exc)) from exc
+    return _held_env[1]
 
 
 @dataclass(frozen=True)
@@ -289,12 +296,14 @@ class Resolved:
 # eps-greedy kernel rep at T = 200,000 peaks at 184 B per step (flip) and
 # 240 B (sinusoidal) with a table held and at 152 and 208 B without, and at
 # 353 and 481 B with curves (321 and 449 B without a table), hence
-# TABLE_BYTES.
+# TABLE_BYTES.  A traced replication holds its step records and curve lists
+# until its rows are written: at most 334 B per step at its peak over an
+# untraced one, on either family, hence TRACE_BYTES.
 # A config that needs more than MEMORY_LIMIT bytes is refused, naming the
 # larger of its per-step and per-rep terms; the limit is fixed, so the
 # refusal is the same on every host.
 STEP_BYTES = {"flip": 153, "sinusoidal": 209}
-REP_BYTES, CURVE_BYTES, TABLE_BYTES = 32, 320, 32
+REP_BYTES, CURVE_BYTES, TABLE_BYTES, TRACE_BYTES = 32, 320, 32, 335
 MEMORY_LIMIT = 2**30
 
 
@@ -302,12 +311,14 @@ def _check_memory(config, collect_curves: bool = False) -> None:
     T, reps = config.env.T, config.reps
     # the sample-mean kinds hold a count-term table and one lockstep block
     table, blocks = (TABLE_BYTES, LANE_BYTES) if config.policy.kind in LOCKSTEP_KINDS else (0, 0)
-    steps = (STEP_BYTES[config.env.kind] + table + (CURVE_BYTES if collect_curves else 0)) * T
+    steps = (STEP_BYTES[config.env.kind] + table + (CURVE_BYTES if collect_curves else 0)
+             + (TRACE_BYTES if config.trace else 0)) * T
     totals = REP_BYTES * reps
     if steps + totals + blocks > MEMORY_LIMIT:
         raise ConfigError(
             "env.T" if steps >= totals else "reps",
-            f"T={T} and reps={reps}{' with curves' if collect_curves else ''} need about "
+            f"T={T} and reps={reps}{' with curves' if collect_curves else ''}"
+            f"{' traced' if config.trace else ''} need about "
             f"{(steps + totals + blocks) / 2**30:.3g} GiB, "
             f"over the {MEMORY_LIMIT / 2**30:g} GiB limit")
 
@@ -566,6 +577,7 @@ def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
                 for k, name in enumerate(METRIC_NAMES):
                     curves[0, k] += res.curves[name]
                     curves[1, k] += np.square(res.curves[name])
+        del res  # before the next replication records its steps
     return Block(reps.start, values, curves)
 
 
@@ -618,7 +630,7 @@ class ExperimentSummary:
         }
 
 
-# Block sizes, measured on 2 cores (README "Block sizes").  A run with
+# Block sizes, measured on 2 cores (README "Timing the engines").  A run with
 # curves is cut by its config alone into blocks of at most CURVE_BLOCK reps
 # (and of at most the most a lockstep block holds), so its float additions
 # are the same at any worker count and on either engine.  A summary-only run

@@ -52,12 +52,10 @@ from .incentive import DriftModel, _count_terms
 __all__ = ["LOCKSTEP_KINDS", "capacity", "run_block"]
 
 LOCKSTEP_KINDS = ("ucb1", "ducb", "swucb", "eps_greedy")
-# A block runs in lockstep from LOCKSTEP_MIN lanes, an eps-greedy block from
-# _EPS_GREEDY_MIN (README "Block sizes": the crossovers, measured on 2 cores;
-# an eps-greedy step is the cheaper one to beat on the kernel), while its
-# lanes store at most LANE_BYTES.
+# A block runs in lockstep from LOCKSTEP_MIN lanes (README "Timing the
+# engines": the crossovers, measured on 2 cores), while its lanes store at
+# most LANE_BYTES.
 LOCKSTEP_MIN = 20
-_EPS_GREEDY_MIN = 32
 LANE_BYTES = 8 * 2**20
 # Steps at a time, over all reps: without restarts 2^14 uniforms are drawn,
 # stepped and summed at a time; with restarts the draws and the second pass
@@ -150,14 +148,14 @@ def capacity(params, T: int, K: int, sigma: int) -> tuple:
     """The fewest and the most reps of a lockstep block restarting every ``sigma`` steps.
 
     A block runs in lockstep once its lanes (replications times restart
-    batches) reach ``LOCKSTEP_MIN`` (eps-greedy: ``_EPS_GREEDY_MIN``), and
-    while its lanes store at most ``LANE_BYTES``: with restarts, every
-    lane-step keeps its arm wins (K bools), its arm and its compensation
-    until the second pass, and a SWUCB window shorter than a batch keeps a
-    ring of (index, reward) pairs per lane; an eps-greedy lane-step also
-    keeps the arm it explores, or K.  A run without restarts stores nothing
-    per step beyond a fixed-size chunk, so its most is ``inf``.  Thompson,
-    which has no lockstep engine, gets ``(inf, 0)``.
+    batches) reach ``LOCKSTEP_MIN``, and while its lanes store at most
+    ``LANE_BYTES``: with restarts, every lane-step keeps its arm wins (K
+    bools), its arm and its compensation until the second pass, and a SWUCB
+    window shorter than a batch keeps a ring of (index, reward) pairs per
+    lane; an eps-greedy lane-step also keeps the arm it explores, or K.  A
+    run without restarts stores nothing per step beyond a fixed-size chunk,
+    so its most is ``inf``.  Thompson, which has no lockstep engine, gets
+    ``(inf, 0)``.
     """
     if params.kind not in LOCKSTEP_KINDS:
         return inf, 0
@@ -168,8 +166,7 @@ def capacity(params, T: int, K: int, sigma: int) -> tuple:
     stored = 0 if batches == 1 else batches * sigma * step
     if params.kind == "swucb" and params.tau < sigma:
         stored += batches * params.tau * 16
-    lanes = _EPS_GREEDY_MIN if params.kind == "eps_greedy" else LOCKSTEP_MIN
-    return -(-lanes // batches), LANE_BYTES // stored if stored else inf
+    return -(-LOCKSTEP_MIN // batches), LANE_BYTES // stored if stored else inf
 
 
 def run_block(params, env, model: DriftModel, rngs, sigma: int, collect_curves=False):

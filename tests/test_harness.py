@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import weakref
 from datetime import timedelta
 
 import numpy as np
@@ -18,6 +19,7 @@ import driftbandits.lockstep as lockstep
 from driftbandits.harness import (
     _SCHEMA,
     CURVE_BLOCK,
+    DEFAULT_SEED,
     LOCKSTEP_SIZES,
     ConfigError,
     EnvSpec,
@@ -39,7 +41,6 @@ from driftbandits.harness import (
 )
 from driftbandits.incentive import DriftModel, run_segment
 from driftbandits.lockstep import (
-    _EPS_GREEDY_MIN,
     LANE_BYTES,
     LOCKSTEP_KINDS,
     LOCKSTEP_MIN,
@@ -455,7 +456,6 @@ def summary_facts(summary):
 def scalar_only(monkeypatch):
     """Run every block on the scalar kernels."""
     monkeypatch.setattr(lockstep, "LOCKSTEP_MIN", 10**9)
-    monkeypatch.setattr(lockstep, "_EPS_GREEDY_MIN", 10**9)
 
 
 def plan(config, workers=1, curves=False):
@@ -469,7 +469,7 @@ class TestLockstep:
     @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["below", "at", "above"])
     @pytest.mark.parametrize("kind", ["ucb1", "ducb", "swucb", "eps_greedy"])
     def test_block_sizes_around_the_crossover(self, kind, offset, monkeypatch):
-        reps = (_EPS_GREEDY_MIN if kind == "eps_greedy" else LOCKSTEP_MIN) + offset
+        reps = LOCKSTEP_MIN + offset
         config = small_config(policy=preset_policy(kind), reps=reps)
         assert plan(config, curves=True) == [(range(reps), offset >= 0)]
         lockstep = summary_facts(run_experiment(config, collect_curves=True))
@@ -659,6 +659,30 @@ class TestPoolPlan:
         small, large = peak(512), peak(2048)
         assert (large - small) / (2048 - 512) <= 128  # bytes per rep
 
+    def test_benchmark_cells_keep_their_plans(self):
+        # perfbench's cells at their own reps, workers and curve setting: a
+        # change that moves benchmark traffic between engines shows here
+        from perfbench.workloads import WORKLOADS
+
+        cells = {  # (blocks, reps per block, in lockstep, restart batches per rep)
+            **{("abrupt-ucb", kind): (4, 3, False, 1) for kind in ("ucb1", "swucb", "ducb")},
+            ("drift-restart", "ucb1"): (1, 8, True, 27),
+            ("drift-restart", "eps_greedy"): (1, 8, True, 90),
+            ("drift-restart", "thompson"): (4, 2, False, 56),
+            **{("reproduce-curves", kind): (1, 64, True, 1) for kind in ("ucb1", "ducb", "swucb")},
+        }
+        for name, workload in WORKLOADS.items():
+            workers = min(workload.workers, harness._cpu_count())
+            for cell in workload.cells:
+                config = ExperimentConfig.from_dict(
+                    workload.config(cell, workload.reps, DEFAULT_SEED))
+                resolved = config.resolve()
+                n, size, lock, batches = cells.pop((name, cell))
+                blocks = harness._plan(config, resolved, workers, workload.via_cli)
+                assert [(len(r), on) for r, on in blocks] == [(size, lock)] * n, (name, cell)
+                assert -(-resolved.T // (resolved.sigma or resolved.T)) == batches, (name, cell)
+        assert not cells  # every cell is still benchmarked
+
     def test_run_experiment_rejects_fewer_than_one_worker(self):
         with pytest.raises(ConfigError) as err:
             run_experiment(small_config(), workers=0)
@@ -666,8 +690,8 @@ class TestPoolPlan:
 
 
 def stored_bytes(resolved):
-    """The bytes a lockstep replication stores at K = 2, as README's "Lockstep
-    blocks" counts them: with restarts 11 B per lane-step (12 B for
+    """The bytes a lockstep replication stores at K = 2, as README's "Block
+    sizes" counts them: with restarts 11 B per lane-step (12 B for
     eps-greedy, which keeps the arm it explores too), and 16 B per slot of a
     SWUCB window shorter than a batch."""
     sigma = resolved.sigma or resolved.T
@@ -709,9 +733,10 @@ def test_plan_partitions_the_reps_and_flags_exactly_the_lockstep_blocks(config, 
     for r, lock in blocks:
         if lock:
             assert config.policy.kind in LOCKSTEP_KINDS
-            assert len(r) * lanes >= (
-                _EPS_GREEDY_MIN if config.policy.kind == "eps_greedy" else LOCKSTEP_MIN)
+            assert len(r) * lanes >= LOCKSTEP_MIN
             assert len(r) * stored_bytes(resolved) <= LANE_BYTES
+    if config.policy.kind in LOCKSTEP_KINDS:  # one lane minimum for every kind
+        assert least == -(-LOCKSTEP_MIN // lanes)
 
 
 class TestSharedPool:
@@ -750,6 +775,12 @@ class TestSharedPool:
         scalar_only(monkeypatch)
         facts.append(summary_facts(run_experiment(config, 2, collect_curves=True)))
         assert all(f == facts[0] for f in facts)
+
+    def test_a_process_holds_one_environment(self):
+        specs = [EnvSpec(kind="flip", T=200, segments=segments) for segments in (1, 2, 3)]
+        first = weakref.ref(build_env(specs[0]))
+        list(run_experiments([small_config(env=spec, reps=2) for spec in specs]))
+        assert first() is None
 
     def test_summaries_come_in_config_order(self):
         configs = [small_config(policy=preset_policy(kind), reps=reps)
@@ -853,6 +884,28 @@ class TestMemoryLimit:
             else:
                 assert kind == "thompson"
                 harness._check_memory(longer)
+
+    def test_traced_runs_are_charged_their_step_records(self):
+        # a traced replication holds every step's record and its curve lists
+        config = small_config(env=EnvSpec(kind="flip", T=3_000_000),
+                              policy=preset_policy("ucb1"), reps=1)
+        harness._check_memory(config)
+        with pytest.raises(ConfigError, match="env.T: T=3000000 and reps=1 traced need about"):
+            harness._check_memory(dataclasses.replace(config, trace=True))
+
+    def test_a_traced_run_holds_one_replications_records(self, tmp_path):
+        # each replication's records are dropped before the next one's are made
+        def peak(reps):
+            config = small_config(env=EnvSpec(kind="flip", T=20_000), reps=reps, trace=True)
+            config.resolve()  # the environment, built untraced
+            tracemalloc.start()
+            try:
+                run_experiment(config, trace_path=tmp_path / "trace.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) < 1.25 * peak(1)
 
     def test_every_preset_fits(self):
         from driftbandits.cli import REPRODUCE_PRESETS
@@ -1052,7 +1105,7 @@ def engine_configs(reps, restart):
 
 
 RESTARTS = st.fixed_dictionaries({}, optional={"sigma": st.integers(1, 300), "lam": POSITIVE})
-LOCKSTEP_CONFIGS = engine_configs(st.integers(LOCKSTEP_MIN, _EPS_GREEDY_MIN + 12),
+LOCKSTEP_CONFIGS = engine_configs(st.integers(LOCKSTEP_MIN, LOCKSTEP_MIN + 24),
                                   st.none() | RESTARTS)
 # Restart batches are lanes, so a handful of reps already fills a lockstep block.
 LANE_CONFIGS = engine_configs(st.integers(1, 8), RESTARTS)
@@ -1089,10 +1142,10 @@ def assert_engines_agree(d, curves):
           "drift": {"kind": "saturating", "l": 1e308, "cap": 0.5}}, False)
 # eps-greedy exploring on every step (eps_c * K overflows to inf), with a
 # drift overflow, and one whose explore tests never pass (eps = 0.0)
-@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": _EPS_GREEDY_MIN,
+@example({"env": {"kind": "flip", "T": 300, "segments": 4}, "reps": LOCKSTEP_MIN,
           "policy": {"kind": "eps_greedy", "eps_c": 1e308},
           "drift": {"kind": "linear", "l": 1e308}}, True)
-@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": _EPS_GREEDY_MIN,
+@example({"env": {"kind": "sinusoidal", "T": 300}, "reps": LOCKSTEP_MIN,
           "policy": {"kind": "eps_greedy", "eps_c": 5e-324}}, False)
 @settings(max_examples=500, deadline=None)
 def test_lockstep_and_scalar_engines_agree(d, curves):
