@@ -240,7 +240,7 @@ def _dump_section(section: str, obj) -> dict:
     kinds = _SCHEMA[section][1]
     kind = getattr(obj, "kind", None)
     out = {} if kind is None else {"kind": kind}
-    out.update((k, getattr(obj, k)) for k in kinds[kind])
+    out.update((k, getattr(obj, k)) for k in kinds.get(kind, ()))
     return out
 
 
@@ -305,6 +305,10 @@ class Resolved:
 STEP_BYTES = {"flip": 153, "sinusoidal": 209}
 REP_BYTES, CURVE_BYTES, TABLE_BYTES, TRACE_BYTES = 32, 320, 32, 335
 MEMORY_LIMIT = 2**30
+# A command whose configs take more than WORK_LIMIT steps in all (reps * T,
+# summed over them) is refused naming ``reps``, also fixed for every host; the
+# largest built-in target, ``reproduce table3``, takes 2.1e8.
+WORK_LIMIT = 10**10
 
 
 def _check_memory(config, collect_curves: bool = False) -> None:
@@ -336,9 +340,18 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
+        # A config built in code meets the parser's checks: each value's
+        # type, and each section's kind and keys (written out and parsed back).
+        for k, kind_of in _TOP_KEYS.items():
+            v = getattr(self, k)
+            if kind_of is not dict:
+                _get({k: v}, "", k, kind_of)
+            elif v is not None or k != "restart":  # only restart is optional
+                if not isinstance(v, _SCHEMA[k][0]):
+                    raise ConfigError(k, f"expected {_SCHEMA[k][0].__name__}, got {v!r}")
+                _parse_section(k, _dump_section(k, v))
         if self.reps < 1:
             raise ConfigError("reps", f"must be >= 1, got {self.reps}")
-        _check_needs("policy", self.policy.kind, lambda k: getattr(self.policy, k))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -683,6 +696,10 @@ def _validate(configs: list, workers: int, collect_curves: bool, trace_path=None
         if config.trace and trace_path is None:
             raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
         _check_memory(config, collect_curves)  # before resolve() builds the schedule
+    work = sum(config.reps * config.env.T for config in configs)
+    if work > WORK_LIMIT:
+        raise ConfigError("reps", f"reps * T sums to {work:.3g} steps, "
+                                  f"over the {WORK_LIMIT:.0e}-step limit")
     return [config.resolve() for config in configs]
 
 

@@ -30,14 +30,7 @@ from math import exp, inf, log, sqrt
 from random import LOG4, SG_MAGICCONST, Random
 from typing import NamedTuple
 
-from .policy import (
-    DucbPolicy,
-    EpsGreedyPolicy,
-    Policy,
-    SwucbPolicy,
-    ThompsonPolicy,
-    Ucb1Policy,
-)
+from .policy import _CLASSES, DucbPolicy, EpsGreedyPolicy, Policy, SampleMeanPolicy, SwucbPolicy
 
 __all__ = [
     "DriftModel",
@@ -277,17 +270,14 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     ducb, swucb = type(pol) is DucbPolicy, type(pol) is SwucbPolicy
     eps = type(pol) is EpsGreedyPolicy
     n_obs = pol.t
+    cnt, tot = pol.count, pol.total
     if ducb:
         gamma = pol.gamma
-        cnt, tot, raw = pol.disc_count, pol.disc_sum, pol.raw_count
         n_disc = pol.disc_total
     elif swucb:
         tau = pol.tau
         window = pol.window
         push, pop = window.append, window.popleft
-        cnt, tot, raw = pol.win_count, pol.win_sum, pol.raw_count
-    else:
-        cnt, tot = pol.count, pol.total
     if eps:
         getrandbits = rng.getrandbits
         k = K.bit_length()
@@ -353,19 +343,17 @@ def _mean_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
             r = x + delta
             if not 0.0 <= r < inf:
                 raise _bad_reward(r)
-            if ducb or swucb:
-                if swucb:
-                    if len(window) == tau:
-                        old_i, old_r = pop()
-                        cnt[old_i] -= 1
-                        tot[old_i] -= old_r
-                    push((a, r))
-                else:
-                    for i in arms:
-                        cnt[i] *= gamma
-                        tot[i] *= gamma
-                    n_disc = gamma * n_disc + 1.0
-                raw[a] += 1
+            if swucb:
+                if len(window) == tau:
+                    old_i, old_r = pop()
+                    cnt[old_i] -= 1
+                    tot[old_i] -= old_r
+                push((a, r))
+            elif ducb:
+                for i in arms:
+                    cnt[i] *= gamma
+                    tot[i] *= gamma
+                n_disc = gamma * n_disc + 1.0
             cnt[a] += one
             tot[a] += r
             n_obs += 1
@@ -520,13 +508,9 @@ def _thompson_segment(pol, steps, t_start, l, cap, rng, acc, curves, batch):
     return Totals(pseudo, realized, comp_sum, reward_sum)
 
 
-_KERNELS = {
-    Ucb1Policy: _mean_segment,
-    DucbPolicy: _mean_segment,
-    SwucbPolicy: _mean_segment,
-    EpsGreedyPolicy: _mean_segment,
-    ThompsonPolicy: _thompson_segment,
-}
+# policy class -> its kernel, looked up by exact type
+_KERNELS = {cls: _mean_segment if issubclass(cls, SampleMeanPolicy) else _thompson_segment
+            for cls in _CLASSES.values()}
 
 
 def incentive_step(

@@ -17,14 +17,15 @@ Index rules (the UCB family shares one ``_pick``: the argmax of
 * eps-greedy: uniform exploration w.p. ``min(1, eps_c * K / t)``, else greedy
 * Thompson: Beta(alpha, beta) posterior sampling with Bernoulli-ized updates
 
-UCB1 and eps-greedy share ``SampleMeanPolicy``'s statistics.  With ``gamma = 1``
-and ``xi = 1/2`` the DUCB index reduces to UCB1 exactly (bit-for-bit); with
+UCB1, DUCB, SWUCB and eps-greedy share ``SampleMeanPolicy``'s per-arm
+``count`` and ``total`` (discounted for DUCB, windowed for SWUCB, whose counts
+are ints) and its ``estimate``, their ratio.  With ``gamma = 1`` and
+``xi = 1/2`` the DUCB index reduces to UCB1 exactly (bit-for-bit); with
 ``tau >= T`` and ``xi = 2`` so does SWUCB.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from math import inf, isfinite, log, sqrt
@@ -43,9 +44,6 @@ __all__ = [
     "ThompsonPolicy",
     "make_policy",
 ]
-
-POLICY_KINDS = ("ucb1", "ducb", "swucb", "eps_greedy", "thompson")
-
 
 @dataclass(frozen=True)
 class PolicyParams:
@@ -97,12 +95,10 @@ class Policy:
     """Common lifecycle: forced round-robin, then the subclass's ``_pick``.
 
     A subclass supplies ``_pick(rng)``, ``_update(i, reward, rng)`` (arm
-    ``i`` 0-based), ``estimate`` and ``_dump``: ``(json key, attribute)``
-    pairs naming its per-arm lists.
+    ``i`` 0-based) and ``estimate``.
     """
 
     kind = "base"
-    _dump: tuple = ()
 
     def __init__(self, K: int):
         if K < 2:
@@ -141,33 +137,9 @@ class Policy:
                 pick, best = a, v
         return pick
 
-    def state_json(self) -> str:
-        """Debug dump with stable field order."""
-        columns = [(key, getattr(self, attr)) for key, attr in self._dump]
-        per_arm = [{key: col[i] for key, col in columns} for i in range(self.K)]
-        return json.dumps({"kind": self.kind, "t": self.t, "per_arm": per_arm})
-
-
-class UcbPolicy(Policy):
-    """Index ``estimate(a) + radius(a)``; an unseen arm's radius is ``inf``."""
-
-    def radius(self, arm: int) -> float:
-        raise NotImplementedError
-
-    def _pick(self, rng: Random) -> int:
-        est, rad = self.estimate, self.radius
-        pick, best = 1, -inf
-        for a in range(1, self.K + 1):
-            v = est(a) + rad(a)
-            if v > best:
-                pick, best = a, v
-        return pick
-
 
 class SampleMeanPolicy(Policy):
     """Per-arm pull counts and reward sums; the estimate is their ratio."""
-
-    _dump = (("count", "count"), ("sum", "total"))
 
     def __init__(self, K: int, params: PolicyParams | None = None):
         super().__init__(K)
@@ -183,7 +155,23 @@ class SampleMeanPolicy(Policy):
         return self.total[arm - 1] / n if n > 0.0 else 0.0
 
 
-class Ucb1Policy(UcbPolicy, SampleMeanPolicy):
+class UcbPolicy(SampleMeanPolicy):
+    """Index ``estimate(a) + radius(a)``; an unseen arm's radius is ``inf``."""
+
+    def radius(self, arm: int) -> float:
+        raise NotImplementedError
+
+    def _pick(self, rng: Random) -> int:
+        est, rad = self.estimate, self.radius
+        pick, best = 1, -inf
+        for a in range(1, self.K + 1):
+            v = est(a) + rad(a)
+            if v > best:
+                pick, best = a, v
+        return pick
+
+
+class Ucb1Policy(UcbPolicy):
     kind = "ucb1"
 
     def radius(self, arm: int) -> float:
@@ -192,11 +180,10 @@ class Ucb1Policy(UcbPolicy, SampleMeanPolicy):
 
 
 class DucbPolicy(UcbPolicy):
-    """Discounted UCB: all statistics decay by ``gamma`` at every observation."""
+    """Discounted UCB: all statistics decay by ``gamma`` at every observation;
+    ``count`` is N_t(gamma, a)."""
 
     kind = "ducb"
-    _dump = (("disc_count", "disc_count"), ("disc_sum", "disc_sum"),
-             ("raw_count", "raw_count"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
@@ -204,39 +191,29 @@ class DucbPolicy(UcbPolicy):
             raise ValueError("ducb requires gamma")
         self.gamma = params.gamma
         self.xi = params.xi
-        self.disc_count = [0.0] * K  # N_t(gamma, a)
-        self.disc_sum = [0.0] * K
-        self.raw_count = [0] * K  # undiscounted pulls N_t(a)
         self.disc_total = 0.0  # n_t(gamma)
 
     def _update(self, i: int, reward: float, rng: Random | None) -> None:
         g = self.gamma
-        dc, ds = self.disc_count, self.disc_sum
+        cnt, tot = self.count, self.total
         for j in range(self.K):
-            dc[j] *= g
-            ds[j] *= g
-        dc[i] += 1.0
-        ds[i] += reward
-        self.raw_count[i] += 1
+            cnt[j] *= g
+            tot[j] *= g
+        cnt[i] += 1.0
+        tot[i] += reward
         self.disc_total = g * self.disc_total + 1.0
 
-    def estimate(self, arm: int) -> float:
-        n = self.disc_count[arm - 1]
-        return self.disc_sum[arm - 1] / n if n > 0.0 else 0.0
-
     def radius(self, arm: int) -> float:
-        n = self.disc_count[arm - 1]
+        n = self.count[arm - 1]
         if n <= 0.0:
             return inf
         return 2.0 * sqrt(self.xi * log(self.disc_total) / n)
 
 
 class SwucbPolicy(UcbPolicy):
-    """Sliding-window UCB over the last ``tau`` pulls."""
+    """Sliding-window UCB over the last ``tau`` pulls; ``count`` is N_t(tau, a)."""
 
     kind = "swucb"
-    _dump = (("win_count", "win_count"), ("win_sum", "win_sum"),
-             ("raw_count", "raw_count"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
@@ -245,26 +222,19 @@ class SwucbPolicy(UcbPolicy):
         self.tau = int(params.tau)
         self.xi = params.xi
         self.window: deque = deque()  # (arm index 0-based, reward)
-        self.win_count = [0] * K  # N_t(tau, a)
-        self.win_sum = [0.0] * K
-        self.raw_count = [0] * K
+        self.count = [0] * K  # int counts: a pull leaving the window subtracts exactly
 
     def _update(self, i: int, reward: float, rng: Random | None) -> None:
         if len(self.window) == self.tau:
             old_i, old_r = self.window.popleft()
-            self.win_count[old_i] -= 1
-            self.win_sum[old_i] -= old_r
+            self.count[old_i] -= 1
+            self.total[old_i] -= old_r
         self.window.append((i, reward))
-        self.win_count[i] += 1
-        self.win_sum[i] += reward
-        self.raw_count[i] += 1
-
-    def estimate(self, arm: int) -> float:
-        n = self.win_count[arm - 1]
-        return self.win_sum[arm - 1] / n if n > 0 else 0.0
+        self.count[i] += 1
+        self.total[i] += reward
 
     def radius(self, arm: int) -> float:
-        n = self.win_count[arm - 1]
+        n = self.count[arm - 1]
         if n <= 0:
             return inf
         return sqrt(self.xi * log(min(self.t, self.tau)) / n)
@@ -296,7 +266,6 @@ class ThompsonPolicy(Policy):
     """
 
     kind = "thompson"
-    _dump = (("alpha", "alpha"), ("beta", "beta"))
 
     def __init__(self, K: int, params: PolicyParams):
         super().__init__(K)
@@ -327,13 +296,12 @@ class ThompsonPolicy(Policy):
         return self.alpha[i] / (self.alpha[i] + self.beta[i])
 
 
+# kind -> class: the one list of policy kinds
+_CLASSES = {cls.kind: cls for cls in (Ucb1Policy, DucbPolicy, SwucbPolicy, EpsGreedyPolicy,
+                                      ThompsonPolicy)}
+POLICY_KINDS = tuple(_CLASSES)
+
+
 def make_policy(params: PolicyParams, K: int) -> Policy:
     """Instantiate the policy named by ``params.kind`` for ``K`` arms."""
-    cls = {
-        "ucb1": Ucb1Policy,
-        "ducb": DucbPolicy,
-        "swucb": SwucbPolicy,
-        "eps_greedy": EpsGreedyPolicy,
-        "thompson": ThompsonPolicy,
-    }[params.kind]
-    return cls(K, params)
+    return _CLASSES[params.kind](K, params)

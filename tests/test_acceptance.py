@@ -231,6 +231,7 @@ class TestCriterion6:
         model = DriftModel("linear", l)
         rng = make_rng(97, 0)
         cum_drift = [0.0, 0.0]
+        pulls = [0, 0]
         compensated = 0
         worst_step = worst_cum = -math.inf
         for t in range(1, 5001):
@@ -242,14 +243,13 @@ class TestCriterion6:
                 worst_step = max(worst_step, out.drift - l * gap)
                 assert out.drift <= l * gap + 1e-12
             cum_drift[out.recommended - 1] += out.drift
+            pulls[out.recommended - 1] += 1
             if kind == "ducb":
                 scale = math.sqrt(pol.xi * math.log(pol.disc_total))
-                counts = pol.raw_count
             else:
                 scale = math.sqrt(pol.xi * math.log(min(pol.t, pol.tau)))
-                counts = pol.raw_count
             for a in (1, 2):
-                bound = bound_factor * l * counts[a - 1] * scale
+                bound = bound_factor * l * pulls[a - 1] * scale
                 worst_cum = max(worst_cum, cum_drift[a - 1] - bound)
                 assert cum_drift[a - 1] <= bound + 1e-9
         return compensated, worst_step, worst_cum
@@ -329,7 +329,7 @@ class TestCriterion8:
             arms[t - 1] = out.recommended
             rewards[t - 1] = out.observed_reward
             if t in cp:
-                snaps.append((t, list(pol.disc_count), list(pol.disc_sum)))
+                snaps.append((t, list(pol.count), list(pol.total)))
         worst = 0.0
         for t, dc, ds in snaps:
             weights = gamma ** (t - np.arange(1, t + 1, dtype=float))
@@ -350,9 +350,9 @@ class TestCriterion8:
             if t in cp:
                 for a in range(K):
                     items = [r for (i, r) in spol.window if i == a]
-                    if spol.win_count[a] != len(items):
+                    if spol.count[a] != len(items):
                         count_exact = False
-                    sum_worst = max(sum_worst, abs(spol.win_sum[a] - sum(items)))
+                    sum_worst = max(sum_worst, abs(spol.total[a] - sum(items)))
         ok = ducb_ok and count_exact
         report(
             8, ok,

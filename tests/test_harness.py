@@ -74,6 +74,10 @@ def ucb1_pinned_to(arm):
     return policy
 
 
+def no_build(spec):
+    raise AssertionError("an environment was built")
+
+
 class TestTuning:
     def test_tuned_gamma_reference_value(self):
         g = tuned_gamma(1, 5000, 15.0)
@@ -239,6 +243,29 @@ class TestConfig:
             with pytest.raises(ConfigError) as err:
                 small_config(policy=PolicyParams(kind=kind))
             assert err.value.key == key
+
+    @pytest.mark.parametrize("key, built, parsed", [
+        ("policy.tau", {"policy": PolicyParams(kind="swucb", tau=50.0)},
+         {"policy": {"kind": "swucb", "tau": 50.0}}),
+        ("restart.sigma", {"restart": RestartParams(sigma=40.0)}, {"restart": {"sigma": 40.0}}),
+        ("env.T", {"env": EnvSpec(kind="flip", T=400.0)}, {"env": {"kind": "flip", "T": 400.0}}),
+        ("env.segments", {"env": EnvSpec(kind="flip", T=400, segments=2.0)},
+         {"env": {"kind": "flip", "T": 400, "segments": 2.0}}),
+        ("reps", {"reps": 3.0}, {"reps": 3.0}),
+        ("env.kind", {"env": EnvSpec(kind="bogus", T=400)},
+         {"env": {"kind": "bogus", "T": 400}}),
+    ])
+    def test_code_built_config_is_refused_as_a_parsed_one(self, key, built, parsed,
+                                                          monkeypatch):
+        monkeypatch.setattr(harness, "build_env", no_build)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**({"env": EnvSpec(kind="flip", T=400),
+                                 "policy": PolicyParams(kind="ucb1")} | built))
+        assert err.value.key == key
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"env": {"kind": "flip", "T": 400},
+                                        "policy": {"kind": "ucb1"}} | parsed)
+        assert err.value.key == key
 
     def test_code_built_config_runs_on_defaults(self):
         config = ExperimentConfig(EnvSpec(kind="flip", T=100), PolicyParams(kind="ucb1"),
@@ -937,6 +964,41 @@ class TestMemoryLimit:
         assert err.value.key == "env.T"
         assert "with curves" in err.value.message
         assert peak < 64 * 1024
+
+
+class TestWorkLimit:
+    """Commands of more than WORK_LIMIT steps are refused before anything is built."""
+
+    @pytest.mark.parametrize("T, reps", [(10**6, 10**7), (5 * 10**6, 10**6)])
+    def test_months_of_work_are_refused(self, T, reps, monkeypatch):
+        config = small_config(env=EnvSpec(kind="flip", T=T), policy=preset_policy("ucb1"),
+                              reps=reps)
+        harness._check_memory(config)  # the memory limit admits it
+        monkeypatch.setattr(harness, "build_env", no_build)
+        for run in (run_experiment, lambda c: run_experiments([c])):
+            with pytest.raises(ConfigError) as err:
+                run(config)
+            assert err.value.key == "reps"
+            assert "over the 1e+10-step limit" in err.value.message
+
+    def test_limit_is_inclusive_over_a_commands_configs(self, monkeypatch):
+        at = small_config(env=EnvSpec(kind="flip", T=10**4), reps=10**6)
+        assert at.reps * at.env.T == harness.WORK_LIMIT
+        harness._validate([at], 1, False)
+        monkeypatch.setattr(harness, "build_env", no_build)
+        one_step = small_config(env=EnvSpec(kind="flip", T=1, segments=1), reps=1)
+        over = small_config(env=EnvSpec(kind="flip", T=3541), reps=2_824_061)  # 1e10 + 1
+        for configs in ([at, one_step], [over]):
+            with pytest.raises(ConfigError) as err:
+                harness._validate(configs, 1, False)
+            assert err.value.key == "reps"
+
+    def test_every_reproduce_target_fits(self):
+        from driftbandits.cli import REPRODUCE_PRESETS
+
+        work = {target: sum(c.reps * c.env.T for _, _, c in presets)
+                for target, presets in REPRODUCE_PRESETS.items()}
+        assert max(work.values()) == work["table3"] == 210_000_000
 
 
 class TestSweep:

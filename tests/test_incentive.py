@@ -176,6 +176,7 @@ class TestDriftBounds:
         model = DriftModel("linear", l)
         rng = random.Random(21)
         cum_drift = [0.0, 0.0]
+        pulls = [0, 0]
         compensated = 0
         for t in range(1, 2001):
             if pol.ready:
@@ -186,9 +187,10 @@ class TestDriftBounds:
                 gap = radii[out.recommended - 1] - radii[out.greedy - 1]
                 assert out.drift <= l * gap + 1e-12
             cum_drift[out.recommended - 1] += out.drift
+            pulls[out.recommended - 1] += 1
             for a in (1, 2):
                 bound = (
-                    2.0 * l * pol.raw_count[a - 1]
+                    2.0 * l * pulls[a - 1]
                     * math.sqrt(xi * math.log(pol.disc_total))
                 )
                 assert cum_drift[a - 1] <= bound + 1e-9
@@ -201,6 +203,7 @@ class TestDriftBounds:
         model = DriftModel("linear", l)
         rng = random.Random(22)
         cum_drift = [0.0, 0.0]
+        pulls = [0, 0]
         compensated = 0
         for t in range(1, 2001):
             if pol.ready:
@@ -211,9 +214,10 @@ class TestDriftBounds:
                 gap = radii[out.recommended - 1] - radii[out.greedy - 1]
                 assert out.drift <= l * gap + 1e-12
             cum_drift[out.recommended - 1] += out.drift
+            pulls[out.recommended - 1] += 1
             for a in (1, 2):
                 bound = (
-                    l * pol.raw_count[a - 1]
+                    l * pulls[a - 1]
                     * math.sqrt(xi * math.log(min(pol.t, tau)))
                 )
                 assert cum_drift[a - 1] <= bound + 1e-9

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import driftbandits.incentive as incentive
+import driftbandits.lockstep as lockstep
 from driftbandits.env import Environment, MeanSchedule, make_flip_env, make_sinusoidal_env
 from driftbandits.harness import tuned_gamma, tuned_tau
 from driftbandits.incentive import CurveRecorder, DriftModel, Totals, run_segment
@@ -68,7 +69,7 @@ def run(params, env, sigma, model, seed, segment, mode):
     for j, (start, stop) in enumerate(batch_bounds(env.schedule.T, sigma), start=1):
         policy = make_policy(params, env.schedule.K)
         totals = segment(policy, env, start, stop, model, rng, totals, curves, j)
-        states.append(policy.state_json())
+        states.append(repr(vars(policy)))
     return totals, curves, states, rng.random()
 
 
@@ -112,20 +113,19 @@ def test_kernel_resumes_a_reference_run(kind):
             totals = reference_segment(policy, env, 1, k, model, rng, Totals(), curves)
             totals = run_segment(policy, env, k + 1, T, model, rng, totals, curves)
         results.append(
-            (totals, curves.compensation, policy.state_json(), rng.random())
+            (totals, curves.compensation, repr(vars(policy)), rng.random())
         )
     assert results[0] == results[1]
 
 
-def ducb_in_state(t, total):
+def ducb_in_state(t, disc_total):
     """The DUCB state of tests/test_policy.py at gamma = 0.5 and count ``t``,
     with a hand-set ``disc_total`` (at t = 4 the gamma-recursion gives 1.875)."""
     policy = make_policy(PolicyParams(kind="ducb", gamma=0.5), 2)
     if t:
-        policy.disc_count = [1.75, 1.0]
-        policy.disc_sum = [1.25, 0.1]
-        policy.raw_count = [3, 1]
-    policy.disc_total = total
+        policy.count = [1.75, 1.0]
+        policy.total = [1.25, 0.1]
+    policy.disc_total = disc_total
     policy.t = t
     return policy
 
@@ -173,8 +173,7 @@ def test_kernel_matches_reference_from_a_hand_set_state(state):
             out = segment(policy, env, 1, T, MODELS["linear"], rng, Totals(), curves)
         except ValueError as exc:
             out = str(exc)
-        outcomes.append((out, curves.steps, policy.state_json(),
-                         getattr(policy, "disc_total", None), rng.random()))
+        outcomes.append((out, curves.steps, repr(vars(policy)), rng.random()))
     assert outcomes[0] == outcomes[1]
     assert (type(outcomes[0][0]) is str) == (state == "ducb_negative_total")
 
@@ -225,7 +224,7 @@ def test_kernel_raises_what_the_reference_raises(count, total, l, message):
         rng = random.Random(9)
         with pytest.raises(ValueError, match=message) as info:
             segment(policy, env, 1, T, DriftModel("linear", l), rng)
-        outcomes.append((str(info.value), policy.state_json(), rng.random()))
+        outcomes.append((str(info.value), repr(vars(policy)), rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -257,11 +256,11 @@ def test_types_without_a_kernel_are_refused():
          "rng type OwnBeta"),
     ]
     for policy, model, rng_type, message in cases:
-        fresh = policy.state_json()
+        fresh = repr(vars(policy))
         rng = rng_type(1)
         with pytest.raises(TypeError, match=message):
             run_segment(policy, env, 1, T, model, rng)
-        assert policy.state_json() == fresh  # refused before any step
+        assert repr(vars(policy)) == fresh  # refused before any step
         assert rng.getstate() == random.Random(1).getstate()
 
 
@@ -326,9 +325,9 @@ EDGES = {
     # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
     # without a pull
     "ducb_count_underflows_to_zero": (PolicyParams(kind="ducb", gamma=1e-200), 2,
-                                      lambda p: 0.0 in p.disc_count),
+                                      lambda p: 0.0 in p.count),
     "swucb_arm_leaves_the_window": (PolicyParams(kind="swucb", tau=3), 2,
-                                    lambda p: 0 in p.win_count),
+                                    lambda p: 0 in p.count),
     # eps_c * K overflows to inf: every step after the round-robin explores,
     # with no explore draw
     **{f"eps_greedy_eps_inf-K{K}": eps_greedy_edge(1e308, K, math.inf) for K in (2, 3)},
@@ -370,7 +369,7 @@ def test_thompson_kernel_skips_the_beta_draw_after_a_zero_gamma():
         rng.setstate(state)
         recorder = CurveRecorder(steps=True)
         segment(policy, env, 3, 40, MODELS["linear"], rng, Totals(), recorder)
-        outcomes.append((recorder.steps, policy.state_json(), rng.random()))
+        outcomes.append((recorder.steps, repr(vars(policy)), rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -493,19 +492,38 @@ def test_block_draws_across_chunks(kind):
                                  tuple(range(40)), True)
 
 
+@pytest.mark.parametrize("curves", [False, True], ids=["summary", "curves"])
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_restart_block_draws_and_sums_across_chunks(kind, curves, monkeypatch):
+    # a cap of 900 lane-steps per rep cuts a 5-rep restart block of T = 3000
+    # into at least 4 chunks of draws and of sums, whatever the T / 16 rule does
+    env, sigma = ENVS["sinusoidal_restarts"]
+    monkeypatch.setattr(lockstep, "_CHUNK_DOUBLES", 900 * len(BLOCK_SEEDS))
+    chunks = []  # the streams drawn for, per chunk
+    for name in ("_doubles", "_eps_draws"):
+        def spy(rngs, *args, real=getattr(lockstep, name)):
+            chunks.append(len(rngs))
+            return real(rngs, *args)
+
+        monkeypatch.setattr(lockstep, name, spy)
+    assert_block_matches_kernels(params_for(kind), env, sigma, MODELS["linear"], BLOCK_SEEDS,
+                                 curves)
+    assert chunks.count(len(BLOCK_SEEDS)) >= 3
+
+
 def test_block_matches_a_ducb_count_underflowing_to_zero():
     # gamma = 1e-200 sends an arm's discounted count to 0.0 after two steps
     # without a pull: the kernels' ``n > 0.0`` branch.
     params = PolicyParams(kind="ducb", gamma=1e-200)
     env, _ = ENVS["flip_b3"]
-    assert any(states_seen(params, env, 17, lambda p: 0.0 in p.disc_count))
+    assert any(states_seen(params, env, 17, lambda p: 0.0 in p.count))
     assert_block_matches_kernels(params, env, T, MODELS["linear"], BLOCK_SEEDS, True)
 
 
 def test_block_matches_a_swucb_arm_that_left_the_window():
     params = PolicyParams(kind="swucb", tau=3)
     env, _ = ENVS["flip_b3"]
-    assert any(states_seen(params, env, 17, lambda p: 0 in p.win_count))
+    assert any(states_seen(params, env, 17, lambda p: 0 in p.count))
     assert_block_matches_kernels(params, env, T, MODELS["saturating"], BLOCK_SEEDS, True)
 
 
@@ -566,7 +584,7 @@ def test_lane_block_meets_a_ducb_count_underflowing_inside_a_batch():
     counts = []
     for t in range(batch[0], batch[1] + 1):
         run_segment(policy, env, t, t, MODELS["linear"], rng)
-        counts.append(list(policy.disc_count))
+        counts.append(list(policy.count))
     assert any(0.0 in c for c in counts)
 
 

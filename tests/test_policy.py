@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -6,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftbandits import restart
 from driftbandits.env import make_flip_env
-from driftbandits.incentive import CurveRecorder, DriftModel
+from driftbandits.incentive import CurveRecorder, DriftModel, run_segment
 from driftbandits.policy import (
     POLICY_KINDS,
     PolicyParams,
@@ -50,7 +50,7 @@ class TestInit:
     def test_swucb_starts_empty(self):
         pol = make_policy(params_for("swucb", tau=5), 2)
         assert len(pol.window) == 0
-        assert pol.win_count == [0, 0]
+        assert pol.count == [0, 0]
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_rejects_single_arm(self, kind):
@@ -88,21 +88,21 @@ class TestDucb:
         pol = make_policy(params_for("ducb", gamma=0.5, xi=0.6), 2)
         for r in (1.0, 0.0, 1.0):
             pol.observe(1, r)
-        assert pol.disc_count[0] == pytest.approx(1.75, abs=1e-12)
-        assert pol.disc_sum[0] == pytest.approx(1.25, abs=1e-12)
+        assert pol.count[0] == pytest.approx(1.75, abs=1e-12)
+        assert pol.total[0] == pytest.approx(1.25, abs=1e-12)
         assert pol.estimate(1) == pytest.approx(1.25 / 1.75, abs=1e-12)
 
     def test_recommend_prefers_higher_index(self):
         pol = make_policy(params_for("ducb", gamma=0.5, xi=0.6), 2)
-        pol.disc_count = [1.75, 1.0]
-        pol.disc_sum = [1.25, 0.1]
+        pol.count = [1.75, 1.0]
+        pol.total = [1.25, 0.1]
         pol.disc_total = 2.75
         pol.t = 4
         # oracle: evaluate both upper confidence bounds directly
         n = 2.75
         idx = [
-            pol.disc_sum[i] / pol.disc_count[i]
-            + 2.0 * math.sqrt(0.6 * math.log(n) / pol.disc_count[i])
+            pol.total[i] / pol.count[i]
+            + 2.0 * math.sqrt(0.6 * math.log(n) / pol.count[i])
             for i in range(2)
         ]
         assert idx[0] > idx[1]
@@ -112,7 +112,7 @@ class TestDucb:
         pol = make_policy(params_for("ducb", gamma=0.9), 3)
         for arm in (1, 2, 3):
             pol.observe(arm, 1.0)
-        pol.disc_count[1] = 0.0  # decayed to nothing
+        pol.count[1] = 0.0  # decayed to nothing
         assert pol.recommend(random.Random(0)) == 2
 
     @given(
@@ -128,7 +128,7 @@ class TestDucb:
             pol.observe(arm, reward)
             bound = min(t, 1.0 / (1.0 - gamma))
             assert pol.disc_total <= bound + 1e-9
-            assert pol.disc_total == pytest.approx(sum(pol.disc_count), abs=1e-9)
+            assert pol.disc_total == pytest.approx(sum(pol.count), abs=1e-9)
 
     def test_incremental_matches_definitional_sum(self):
         gamma, K = 0.93, 2
@@ -150,8 +150,8 @@ class TestDucb:
                         for s, (aa, r) in enumerate(history, 1)
                         if aa == a
                     )
-                    assert abs(pol.disc_count[a - 1] - n_def) < 1e-9
-                    assert abs(pol.disc_sum[a - 1] - s_def) < 1e-9
+                    assert abs(pol.count[a - 1] - n_def) < 1e-9
+                    assert abs(pol.total[a - 1] - s_def) < 1e-9
 
 
 class TestSwucb:
@@ -159,7 +159,7 @@ class TestSwucb:
         pol = make_policy(params_for("swucb", tau=2), 2)
         for r in (1.0, 0.0, 1.0):
             pol.observe(1, r)
-        assert pol.win_count[0] == 2
+        assert pol.count[0] == 2
         assert pol.estimate(1) == 0.5
 
     def test_counters_match_window_recomputation(self):
@@ -170,8 +170,8 @@ class TestSwucb:
             pol.observe(arm, float(rng.random() < 0.5))
             for a in range(3):
                 items = [r for (i, r) in pol.window if i == a]
-                assert pol.win_count[a] == len(items)
-                assert pol.win_sum[a] == pytest.approx(sum(items), abs=1e-9)
+                assert pol.count[a] == len(items)
+                assert pol.total[a] == pytest.approx(sum(items), abs=1e-9)
 
     def test_window_sums_exact_for_binary_rewards(self):
         pol = make_policy(params_for("swucb", tau=11), 2)
@@ -180,7 +180,7 @@ class TestSwucb:
             arm = rng.randint(1, 2)
             pol.observe(arm, float(rng.random() < 0.3))
         for a in range(2):
-            assert pol.win_sum[a] == sum(r for (i, r) in pol.window if i == a)
+            assert pol.total[a] == sum(r for (i, r) in pol.window if i == a)
 
 
 class TestThompson:
@@ -250,8 +250,8 @@ class TestGreedyAndEstimates:
 
     def test_ducb_uses_discounted_mean(self):
         pol = make_policy(params_for("ducb", gamma=0.5), 2)
-        pol.disc_count = [1.75, 1.0]
-        pol.disc_sum = [1.25, 0.1]
+        pol.count = [1.75, 1.0]
+        pol.total = [1.25, 0.1]
         pol.disc_total = 2.75
         pol.t = 4
         assert pol.greedy_arm() == 1
@@ -371,29 +371,36 @@ class TestUcbIndex:
         assert steps[NoRadius][-1].cum_comp == 0.0
 
 
-PER_ARM_FIELDS = {
-    "ucb1": {"count": float, "sum": float},
-    "ducb": {"disc_count": float, "disc_sum": float, "raw_count": int},
-    "swucb": {"win_count": int, "win_sum": float, "raw_count": int},
-    "eps_greedy": {"count": float, "sum": float},
+# The per-arm statistics' types: SWUCB's window counts are ints, every other
+# count and sum a float, as the sample-mean kernel's ``zero`` and ``one`` assume.
+PER_ARM_TYPES = {
+    "ucb1": {"count": float, "total": float},
+    "ducb": {"count": float, "total": float},
+    "swucb": {"count": int, "total": float},
+    "eps_greedy": {"count": float, "total": float},
     "thompson": {"alpha": float, "beta": float},
 }
 
 
-class TestStateDump:
+class TestStatisticTypes:
     @pytest.mark.parametrize("kind", POLICY_KINDS)
-    def test_json_shape_and_field_order(self, kind):
-        pol = make_policy(params_for(kind), 2)
-        rng = random.Random(0)
-        for arm in (1, 2):
-            pol.observe(arm, 1.0, rng)
-        blob = pol.state_json()
-        assert list(json.loads(blob).keys()) == ["kind", "t", "per_arm"]
-        d = json.loads(blob)
-        assert d["kind"] == kind
-        assert d["t"] == 2
-        assert len(d["per_arm"]) == 2
-        fields = PER_ARM_FIELDS[kind]
-        for entry in d["per_arm"]:
-            assert list(entry) == list(fields)
-            assert [type(v) for v in entry.values()] == list(fields.values())
+    def test_per_arm_types(self, kind, monkeypatch):
+        env = make_flip_env(300, 3, 0.9, 0.1)
+        model = DriftModel("linear", 0.4)
+        policies = []
+        for segment in (reference_segment, run_segment):  # the oracle, then the kernel
+            pol = make_policy(params_for(kind), 2)
+            segment(pol, env, 1, 300, model, random.Random(4))
+            policies.append(pol)
+
+        def spying_factory(params, K):  # keeps every batch's policy of a restarting run
+            policies.append(make_policy(params, K))
+            return policies[-1]
+
+        monkeypatch.setattr(restart, "make_policy", spying_factory)
+        restart.run_restarting(env, 70, params_for(kind), model, random.Random(4))
+        assert len(policies) == 2 + 5
+        for pol in policies:
+            assert pol.t > 0
+            for name, kind_of in PER_ARM_TYPES[kind].items():
+                assert [type(v) for v in getattr(pol, name)] == [kind_of, kind_of]
