@@ -340,23 +340,24 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
-        # A config built in code meets the parser's checks: each value's
-        # type, and each section's kind and keys (written out and parsed back).
+        # A config built in code meets the parser's checks and is stored as its
+        # parsed twin is: each value as its type, each section written out and parsed back.
         for k, kind_of in _TOP_KEYS.items():
             v = getattr(self, k)
             if kind_of is not dict:
-                _get({k: v}, "", k, kind_of)
+                v = _get({k: v}, "", k, kind_of)
             elif v is not None or k != "restart":  # only restart is optional
                 if not isinstance(v, _SCHEMA[k][0]):
                     raise ConfigError(k, f"expected {_SCHEMA[k][0].__name__}, got {v!r}")
-                _parse_section(k, _dump_section(k, v))
+                v = _parse_section(k, _dump_section(k, v))
+            object.__setattr__(self, k, v)
         if self.reps < 1:
             raise ConfigError("reps", f"must be >= 1, got {self.reps}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
-            raise ConfigError("", "config must be a JSON object")
+            raise ConfigError("config", "must be a JSON object")
         for k in d:
             if k not in _TOP_KEYS:
                 raise ConfigError(k, "unknown key")
@@ -372,7 +373,7 @@ class ExperimentConfig:
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError("", f"invalid JSON: {exc}") from exc
+            raise ConfigError("config", f"invalid JSON: {exc}") from exc
         return cls.from_dict(d)
 
     def to_dict(self) -> dict:
@@ -386,12 +387,11 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def with_overrides(self, assignments: dict) -> "ExperimentConfig":
-        """New config with dotted-path keys replaced, then fully revalidated.
+        """New config with ``key`` or ``section.key`` values replaced, revalidated.
 
         An override of a section's ``kind`` keeps only the old keys that the
-        new kind accepts.  Unknown keys and type mismatches surface as
-        :class:`ConfigError` through the re-parse, with the offending dotted
-        path in the message.
+        new kind accepts.  Any other path is refused by name, and unknown keys
+        and type mismatches surface as :class:`ConfigError` through the re-parse.
         """
         d = self.to_dict()
         for section, (_, kinds) in _SCHEMA.items():
@@ -399,18 +399,14 @@ class ExperimentConfig:
             if isinstance(kind, str) and kind in kinds:
                 d[section] = {k: v for k, v in d[section].items() if k in kinds[kind]}
         for dotted, value in assignments.items():
-            parts = dotted.split(".")
-            node = d
-            for p in parts[:-1]:
-                if not isinstance(node, dict):
-                    raise ConfigError(dotted, "unknown key")
-                nxt = node.get(p)
-                if nxt is None:
-                    nxt = node[p] = {}
-                node = nxt
-            if not isinstance(node, dict):
+            section, dot, key = dotted.partition(".")
+            if not dot:
+                d[dotted] = value
+            elif (section in _SCHEMA and "." not in key
+                  and isinstance(d[section], (dict, type(None)))):
+                d[section] = {**(d[section] or {}), key: value}
+            else:
                 raise ConfigError(dotted, "unknown key")
-            node[parts[-1]] = value
         return ExperimentConfig.from_dict(d)
 
     def resolve(self) -> Resolved:
@@ -595,10 +591,10 @@ def _scalar_block(config: ExperimentConfig, reps: range, collect_curves: bool,
 
 
 def _run_reps(config: ExperimentConfig, reps: range, lockstep: bool,
-              collect_curves: bool) -> Block:
+              collect_curves: bool, writer=None) -> Block:
     """The replications ``reps`` as one block, in lockstep if ``lockstep``
     says so (``_plan``); a lockstep block whose step check fails reruns on
-    the scalar kernels, which raise as they always do."""
+    the scalar kernels, which raise as they always do, and write to ``writer``."""
     if lockstep:
         resolved = config.resolve()
         rngs = [make_rng(config.base_seed, rep) for rep in reps]
@@ -606,7 +602,7 @@ def _run_reps(config: ExperimentConfig, reps: range, lockstep: bool,
                         rngs, resolved.sigma or resolved.T, collect_curves)
         if out is not None:
             return Block(reps.start, *out)
-    return _scalar_block(config, reps, collect_curves)
+    return _scalar_block(config, reps, collect_curves, writer)
 
 
 @dataclass
@@ -662,9 +658,11 @@ def _plan(config: ExperimentConfig, resolved: Resolved, workers: int,
     Blocks are near-equal.  A block runs in lockstep exactly when its size
     lies within ``lockstep.capacity``'s ``[least, most]``.  Without curves a
     lockstep run gets a few large blocks, as many for each process, and any
-    other run about four blocks per process.
+    other run about four blocks per process.  A traced run is one scalar block.
     """
     reps = config.reps
+    if config.trace:
+        return [(range(reps), False)]
     least, most = capacity(resolved.policy_params, resolved.T, resolved.K,
                            resolved.sigma or resolved.T)
     fit = min(reps, most)  # the most reps one lockstep block of this run holds
@@ -693,8 +691,8 @@ def _validate(configs: list, workers: int, collect_curves: bool, trace_path=None
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers}")
     for config in configs:
-        if config.trace and trace_path is None:
-            raise ConfigError("trace", "needs a trace path; only `run` writes trace.csv")
+        if config.trace and (trace_path is None or len(configs) > 1):
+            raise ConfigError("trace", "runs alone with a trace path; only `run` writes it")
         _check_memory(config, collect_curves)  # before resolve() builds the schedule
     work = sum(config.reps * config.env.T for config in configs)
     if work > WORK_LIMIT:
@@ -741,7 +739,7 @@ def _fold(config: ExperimentConfig, resolved: Resolved, blocks,
                              by_name(values), by_name(curve_mean), by_name(curve_stderr))
 
 
-def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
+def run_experiments(configs, workers: int = 1, collect_curves: bool = False, trace_path=None):
     """Run every config's replications; an iterator of their summaries, in order.
 
     Every config is validated before anything runs.  Each config's blocks
@@ -749,58 +747,44 @@ def run_experiments(configs, workers: int = 1, collect_curves: bool = False):
     ``min(workers, CPUs, blocks)`` processes, submitted in config order.
     Each summary is yielded as soon as its blocks are folded, in block
     order, so it is identical for any ``workers`` value.  Consume the
-    iterator to the end, or close it, to shut the pool down.  Traced configs
-    are refused: only ``run_experiment`` writes a trace.
+    iterator to the end, or close it, to shut the pool down.  A traced
+    config runs alone, in-process, streaming rows to the CSV at ``trace_path``.
     """
     configs = list(configs)
-    resolved = _validate(configs, workers, collect_curves)
+    resolved = _validate(configs, workers, collect_curves, trace_path)
     workers = min(workers, _cpu_count())
     plans = [_plan(config, res, workers, collect_curves)
              for config, res in zip(configs, resolved)]
     pool = min(workers, sum(map(len, plans)))
-    return _run_plans(configs, resolved, plans, pool, collect_curves)
+    return _run_plans(configs, resolved, plans, pool, collect_curves, trace_path)
 
 
-def _run_plans(configs, resolved, plans, pool, collect_curves):
+def _run_plans(configs, resolved, plans, pool, collect_curves, trace_path=None):
     """The summaries of ``run_experiments``, on ``pool`` processes."""
     with ExitStack() as stack:
+        writer = None
+        if any(config.trace for config in configs):  # the one config, by _validate
+            writer = csv.writer(stack.enter_context(open(trace_path, "w", newline="")))
+            writer.writerow(TRACE_HEADER.split(","))
         if pool > 1:
             ex = ProcessPoolExecutor(max_workers=pool)
             # an early exit cancels the blocks not yet started
             stack.callback(ex.shutdown, wait=True, cancel_futures=True)
-            futures = deque(ex.submit(_run_reps, config, r, lockstep, collect_curves)
-                            for config, plan in zip(configs, plans) for r, lockstep in plan)
+            futures = deque(ex.submit(_run_reps, config, r, lock, collect_curves)
+                            for config, plan in zip(configs, plans) for r, lock in plan)
         for config, res, plan in zip(configs, resolved, plans):
             if pool > 1:  # in submission order, each dropped once read
                 blocks = (futures.popleft().result() for _ in plan)
             else:
-                blocks = (_run_reps(config, r, lockstep, collect_curves) for r, lockstep in plan)
+                blocks = (_run_reps(config, r, lock, collect_curves, writer) for r, lock in plan)
             yield _fold(config, res, blocks, collect_curves)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    collect_curves: bool = False,
-    trace_path=None,
-) -> ExperimentSummary:
-    """Run all replications and aggregate: ``run_experiments`` on one config.
-
-    When ``config.trace`` is on, replications run serially in-process as one
-    scalar block and stream rows to the trace CSV at ``trace_path``; a
-    traced config without a ``trace_path`` is refused.
-    """
-    if not config.trace:
-        (summary,) = run_experiments([config], workers, collect_curves)
-        return summary
-    (resolved,) = _validate([config], workers, collect_curves, trace_path)
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER.split(","))
-        # one block, made inside _fold, which refuses an overflow in its curves
-        blocks = (_scalar_block(config, reps, collect_curves, writer)
-                  for reps in [range(config.reps)])
-        return _fold(config, resolved, blocks, collect_curves)
+def run_experiment(config: ExperimentConfig, workers: int = 1, collect_curves: bool = False,
+                   trace_path=None) -> ExperimentSummary:
+    """Run all replications and aggregate: ``run_experiments`` on one config."""
+    (summary,) = run_experiments([config], workers, collect_curves, trace_path)
+    return summary
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
@@ -885,7 +869,6 @@ def scaling_probe(
     policy_kind: str = "ducb",
     reps: int = 200,
     base_seed: int = 0,
-    drift_l: float = DEFAULT_DRIFT_L,
     workers: int = 1,
 ) -> ScalingReport:
     """Fit the log-log growth of mean regret/compensation against T.
@@ -901,8 +884,8 @@ def scaling_probe(
     if family not in presets:
         raise ValueError(f"unknown scaling family {family!r}")
     preset, size = presets[family]
-    configs = [preset(size, preset_policy(policy_kind), T=T, reps=reps,
-                      base_seed=base_seed, drift_l=drift_l) for T in horizons]
+    configs = [preset(size, preset_policy(policy_kind), T=T, reps=reps, base_seed=base_seed)
+               for T in horizons]
     summaries = list(run_experiments(configs, workers))
     regret_means = [summary.mean["pseudo_regret"] for summary in summaries]
     comp_means = [summary.mean["compensation"] for summary in summaries]

@@ -170,6 +170,26 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text, argv, key", [
+    ("{", [], "config"),
+    ("[1]", [], "config"),
+    ('{"env": {"kind": "flip", "T": 150}, "policy": {"kind": "ucb1"}, "bogus": 1}', [],
+     "bogus"),
+    (None, ["--set", "reps"], "reps"),
+    (None, ["--set", "=3"], "=3"),
+], ids=["invalid_json", "not_an_object", "unknown_top_level_key", "set_without_equals",
+        "set_with_an_empty_key"])
+def test_whole_document_and_set_refusals_exit_2_and_name_the_key(tiny_config, tmp_path, capsys,
+                                                                 text, argv, key):
+    path = tiny_config
+    if text is not None:
+        path = tmp_path / "document.json"
+        path.write_text(text)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 def test_unknown_reproduce_target_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "table9"])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -11,7 +12,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import driftbandits.harness as harness
@@ -116,6 +117,11 @@ class TestConfig:
                 restart=RestartParams(sigma=100, lam=2.0),
             ),
             small_config(policy=PolicyParams(kind="swucb", tau=25), trace=True),
+            # built in code, stored as parsed: ints given for float keys, and a
+            # key the kind does not list (which takes its default)
+            ExperimentConfig(EnvSpec("flip", 400, hi=1, lo=0), PolicyParams(kind="ucb1"),
+                             DriftModel("linear", 0)),
+            small_config(policy=PolicyParams(kind="ucb1", xi=0.7)),
         ]
         # every env kind x policy kind x drift kind x restart setting
         for sections in itertools.product(
@@ -314,10 +320,10 @@ class TestConfig:
         assert new.restart.sigma == 100 and new.restart.lam == 1.0
 
     def test_overrides_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config().with_overrides({"policy.window": 10})
-        with pytest.raises(ConfigError):
-            small_config().with_overrides({"reps.deep": 1})
+        for dotted in ("policy.window", "foo.bar", "reps.deep", "env.T.x"):
+            with pytest.raises(ConfigError) as err:
+                small_config().with_overrides({dotted: 1})
+            assert err.value.key == dotted
 
     def test_resolve_fills_tuned_parameters(self):
         r = small_config().resolve()
@@ -450,6 +456,10 @@ class TestExperiment:
         r140, r19600 = mean_regret(140), mean_regret(140 * 140)
         assert r19600 / r140 <= 3.5
 
+    def test_untraced_run_writes_no_trace(self, tmp_path):
+        run_experiment(small_config(reps=2), trace_path=tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_csv_schema_and_monotone_columns(self, tmp_path):
         config = small_config(reps=2, trace=True)
         path = tmp_path / "trace.csv"
@@ -536,6 +546,8 @@ class TestLockstep:
         # runs them on the kernels one at a time
         config = small_config(policy=preset_policy("swucb"), reps=LOCKSTEP_MIN)
         assert plan(config, curves=True) == [(range(config.reps), True)]
+        assert plan(dataclasses.replace(config, trace=True), curves=True) == [
+            (range(config.reps), False)]
         block = run_experiment(config, collect_curves=True)
         traced = run_experiment(dataclasses.replace(config, trace=True), collect_curves=True,
                                 trace_path=tmp_path / "trace.csv")
@@ -818,7 +830,7 @@ class TestSharedPool:
                 together = run_experiments(configs, workers, collect_curves=curves)
                 assert [summary_facts(s) for s in together] == alone
 
-    def test_every_config_is_validated_before_any_runs(self, monkeypatch):
+    def test_every_config_is_validated_before_any_runs(self, monkeypatch, tmp_path):
         def no_pool(*args, **kwargs):
             raise AssertionError("started a pool")
 
@@ -829,6 +841,12 @@ class TestSharedPool:
             run_experiments([small_config(), bad], workers=2)
         with pytest.raises(ConfigError, match="trace"):
             run_experiments([small_config(trace=True)])
+        # a traced config runs alone, even given a trace path
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ConfigError) as err:
+            run_experiments([small_config(trace=True), small_config()], trace_path=path)
+        assert err.value.key == "trace"
+        assert not path.exists()
 
     def test_sweep_and_scaling_are_worker_invariant(self):
         config = small_config(reps=70)
@@ -999,6 +1017,73 @@ class TestWorkLimit:
         work = {target: sum(c.reps * c.env.T for _, _, c in presets)
                 for target, presets in REPRODUCE_PRESETS.items()}
         assert max(work.values()) == work["table3"] == 210_000_000
+
+
+# Multi-config commands past either limit are refused before anything is
+# built.  A case is (horizon range, reps range, the key named, a word of the
+# refusal).  T >= 8e6 puts every preset's step charge over MEMORY_LIMIT
+# (153 B * 8e6 > 2^30) while 1e4 reps' totals stay far below it: env.T. 4e7
+# reps' totals (32 B each) are over it and outweigh a step charge of at most
+# 896 B * 1000: reps.  The work case sets reps just past WORK_LIMIT over
+# horizons of 1000 to 1e6: about 1e7 reps at most and 5.6e8 B of steps, both
+# inside MEMORY_LIMIT.
+LIMIT_CASES = {
+    "memory_T": ((8 * 10**6, 10**12), (1, 10**4), "env.T", "GiB"),
+    "memory_reps": ((12, 1000), (4 * 10**7, 10**12), "reps", "GiB"),
+    "work": ((1000, 10**6), None, "reps", "step limit"),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_multi_config_commands_are_refused_past_either_limit(data, tmp_path):
+    from driftbandits.cli import REPRODUCE_PRESETS, main
+
+    (lo, hi), reps_range, key, word = LIMIT_CASES[data.draw(st.sampled_from(sorted(LIMIT_CASES)))]
+    command = data.draw(st.sampled_from(["sweep", "scaling", "reproduce"]))
+    if command == "scaling":
+        family = data.draw(st.sampled_from(["flip", "sinusoidal"]))
+        kind = data.draw(st.sampled_from(POLICY_KINDS))
+        horizons = sorted(data.draw(st.sets(st.integers(lo, hi), min_size=3, max_size=4)))
+        steps = sum(horizons)
+    else:
+        T = data.draw(st.integers(lo, hi))
+        if command == "sweep":
+            values = data.draw(st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3))
+            steps = T * len(values)
+        else:
+            target = data.draw(st.sampled_from(sorted(REPRODUCE_PRESETS)))
+            steps = T * len(REPRODUCE_PRESETS[target])
+    if reps_range is None:
+        reps = harness.WORK_LIMIT // steps + data.draw(st.integers(1, 1000))
+    else:
+        reps = data.draw(st.integers(*reps_range))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(harness, "build_env", no_build)
+        tracemalloc.start()
+        try:
+            if command == "reproduce":
+                code = main(["reproduce", target, "--set", f"env.T={T}", "--set", f"reps={reps}",
+                             "--out", str(tmp_path)])
+            else:
+                with pytest.raises(ConfigError) as exc:
+                    if command == "sweep":
+                        sweep(small_config(env=EnvSpec(kind="flip", T=T), reps=reps), values)
+                    else:
+                        scaling_probe(family, horizons, policy_kind=kind, reps=reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 256 * 1024  # no schedule, curve or totals array was made
+    if command == "reproduce":
+        assert code == 2
+        assert err.getvalue().startswith(f"config error: {key}: ")
+        assert word in err.getvalue()
+    else:
+        assert exc.value.key == key
+        assert word in exc.value.message
 
 
 class TestSweep:

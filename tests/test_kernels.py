@@ -150,6 +150,29 @@ def eps_greedy_in_state(t):
     return policy
 
 
+def thompson_in_state(alpha, beta):
+    """A two-arm Thompson past its round-robin, with arm 1's posterior hand-set."""
+    policy = make_policy(PolicyParams(kind="thompson"), 2)
+    policy.alpha = [alpha, 2.0]
+    policy.beta = [beta, 2.0]
+    policy.t = 2
+    return policy
+
+
+# random.Random(0)'s double number 912,565 (0-based) is 6.08e-8, outside the
+# (1e-7, 1 - 1e-7) interval Cheng's gamma draw keeps.  A double falls outside
+# it with probability 2e-7, too rarely for a seeded run to rely on, so a
+# Thompson state here starts its stream where its first Cheng draw takes it.
+REJECTED_DOUBLE = 912_565
+
+
+def stream_at(n):
+    """``random.Random(0)`` with its first ``n`` doubles skipped."""
+    rng = random.Random(0)
+    rng.getrandbits(64 * n)  # two 32-bit words, as random() takes
+    return rng
+
+
 HAND_SET = {
     "ducb_off_the_recursion": lambda: ducb_in_state(4, 2.75),
     "ducb_fresh_count_with_a_total": lambda: ducb_in_state(0, 1e6),
@@ -158,16 +181,25 @@ HAND_SET = {
     "ucb1_at_t_2e12": ucb1_pinned,
     "eps_greedy_past_the_round_robin": lambda: eps_greedy_in_state(7),
     "eps_greedy_inside_the_round_robin": lambda: eps_greedy_in_state(1),
+    # arm 1's alpha draw (shape 2) rejects its first u1
+    "thompson_alpha_draw_rejects": lambda: thompson_in_state(2.0, 1.0),
+    # arm 1's shape-1 alpha draw takes one double, then its beta draw rejects
+    "thompson_beta_draw_rejects": lambda: thompson_in_state(1.0, 3.0),
 }
+CHENG_REJECTS = {"thompson_alpha_draw_rejects": REJECTED_DOUBLE,
+                 "thompson_beta_draw_rejects": REJECTED_DOUBLE - 1}
 
 
 @pytest.mark.parametrize("state", list(HAND_SET))
 def test_kernel_matches_reference_from_a_hand_set_state(state):
     env, _ = ENVS["flip_b3"]
+    start = CHENG_REJECTS.get(state)
+    if start is not None:  # the case still reaches Cheng's rejection branch
+        assert not 1e-7 < stream_at(REJECTED_DOUBLE).random() < 0.9999999
     outcomes = []
     for segment in (run_segment, reference_segment):
         policy = HAND_SET[state]()
-        rng = random.Random(5)
+        rng = random.Random(5) if start is None else stream_at(start)
         curves = CurveRecorder(steps=True)
         try:
             out = segment(policy, env, 1, T, MODELS["linear"], rng, Totals(), curves)

@@ -2,6 +2,7 @@
 perfbench's tracer still finds the names it patches."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -62,8 +63,9 @@ def test_kernel_samples_each_build_their_own_count_term_table(monkeypatch):
     assert held == [(None, None)] * 4
 
 
-@pytest.mark.parametrize("restarts", [False, True], ids=["no_restarts", "restarts"])
-def test_tracer_patches_names_that_exist_and_restores_them(restarts, tmp_path):
+@pytest.mark.parametrize("restarts, traced", [(False, False), (True, False), (False, True)],
+                         ids=["no_restarts", "restarts", "traced"])
+def test_tracer_patches_names_that_exist_and_restores_them(restarts, traced, tmp_path):
     tracer = load("tracer", ROOT / "perfbench")
     patched = [(owner, attr) for owner, attr, _, _ in tracer.TARGETS]
     patched.append((harness, "ProcessPoolExecutor"))
@@ -72,9 +74,11 @@ def test_tracer_patches_names_that_exist_and_restores_them(restarts, tmp_path):
     policy = harness.preset_policy("ucb1")
     config = (harness.sinusoidal_config(3.0, policy, T=200, reps=2) if restarts
               else harness.flip_config(1, policy, T=200, reps=2))
-    with tracer.Tracer(tmp_path) as traced:
-        harness.run_experiment(config)
-    names = {span[1] for span in traced.spans}
+    trace_path = tmp_path / "trace.csv" if traced else None
+    with tracer.Tracer(tmp_path) as spans:
+        harness.run_experiment(replace(config, trace=traced), trace_path=trace_path)
+    assert trace_path is None or trace_path.exists()
+    names = {span[1] for span in spans.spans}
     engine = "restart.run_restarting" if restarts else "incentive.run_incentivized"
     assert {"harness.run_experiment", "harness.run_replication", "harness.resolve",
             "seeding.make_rng", "incentive.run_segment", engine} <= names
